@@ -1,25 +1,28 @@
 """Steadiness and planted-slowdown checks over repeated benchmark runs.
 
     python3 perfbench/check.py spread --workload warm_reads --seeds 1-10
-    python3 perfbench/check.py plant --seeds 1-3
+    python3 perfbench/check.py plant --seeds 11-15
     python3 perfbench/check.py host --procs 10 --seconds 6
 
-``spread`` runs one workload once per seed and prints, for every
-end-to-end metric, the median and the interquartile range as a share of
-the median (``statistics.quantiles(values, n=4)``), next to the metric's
+``spread`` runs one workload once per seed and prints each run's figures
+and, for every end-to-end metric, the median and the interquartile range
+as a share of the median (``statistics.quantiles(values, n=4)``), next to the metric's
 bound from BENCHMARK.json.  It exits 1 when a spread other than
 ``setup_s``'s reaches its bound.
 
 ``plant`` runs the planted-slowdown acceptance: for each planted target
-it runs the named workloads on the same seeds with and without the plant
-and compares medians against the bounds.  Expected: slowing
+it runs the named workloads on the same seeds with and without the plant,
+prints each run's figures and compares medians against the bounds.  Expected: slowing
 ``dominance_matrix`` by 25% pushes ``warm_reads/op_p50_ms`` past its bound
 while every ``design_batch`` metric stays within its bound; slowing
 ``template_from_expression`` pushes ``design_batch/ops_per_s`` past its
-bound while every ``warm_reads`` metric stays within its bound.  Traced
-runs on the first seed then show the slowed layer itself rising by about
-25%: ``engine.matrix_ms`` on warm_reads, ``templates.build_ms`` on
-design_batch.
+bound while every ``warm_reads`` metric stays within its bound.  Lanes run
+seed by seed, in reversed order on every other seed.  Planted traced runs
+on the first seeds then must show the slowed layer itself rising by 25%
+(``plant.layer_rise``: planted against unplanted traced passes in one
+process; median over ``LAYER_RUNS`` runs, within ``LAYER_TOLERANCE``):
+``engine.matrix_ms`` on warm_reads, ``templates.build_ms`` on
+design_batch.  Any miss exits 1.
 
 ``host`` is the host-noise measurement behind the floor rule: a fixed
 pure-Python loop runs for ``--seconds`` in each of ``--procs`` fresh
@@ -37,6 +40,8 @@ import subprocess
 import sys
 from typing import Dict, List, Optional
 
+from layers import PLANT_SHARE, PLANTS
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 
@@ -46,12 +51,10 @@ PLANT_EXPECT = {
     "dominance_matrix": ("warm_reads", "op_p50_ms", "design_batch"),
     "template_from_expression": ("design_batch", "ops_per_s", "warm_reads"),
 }
-
-#: target -> (workload, per-layer metric the traced run shows it in)
-PLANT_LAYER = {
-    "dominance_matrix": ("warm_reads", "engine.matrix_ms"),
-    "template_from_expression": ("design_batch", "templates.build_ms"),
-}
+#: Planted traced runs per target, and how far the median rise of the
+#: slowed layer may sit from PLANT_SHARE.
+LAYER_RUNS = 3
+LAYER_TOLERANCE = 0.1
 
 
 def load_spec() -> dict:
@@ -80,7 +83,12 @@ def run_once(workload: str, seed: int, seconds: int, trace: int = 0, plant: Opti
         sys.stderr.write(done.stdout + done.stderr)
         raise SystemExit(f"{workload} seed {seed} failed with exit {done.returncode}")
     result = json.loads(lines[-1])
-    return {name: entry["value"] for name, entry in result["metrics"].items()}
+    metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
+    if not trace:
+        summary = next(line for line in lines if " passes x " in line)
+        print(f"  {plant or 'no plant'}: {summary.split('; set-ups')[0]}; "
+              + ", ".join(f"{k}={v:.5g}" for k, v in metrics.items()), flush=True)
+    return metrics
 
 
 def spread(values: List[float]) -> float:
@@ -101,7 +109,6 @@ def cmd_spread(opts) -> int:
     runs = []
     for seed in seeds_of(opts.seeds):
         runs.append(run_once(opts.workload, seed, seconds))
-        print(f"seed {seed}: " + ", ".join(f"{k}={v:.6g}" for k, v in runs[-1].items()), flush=True)
     failed = False
     print(f"{'metric':16s} {'median':>12s} {'spread':>8s} {'bound':>6s}")
     for metric in spec["end_to_end"]:
@@ -123,9 +130,10 @@ def cmd_plant(opts) -> int:
     workloads = sorted({w for expect in PLANT_EXPECT.values() for w in (expect[0], expect[2])})
     lanes = [(w, plant) for w in workloads for plant in (None, *PLANT_EXPECT)]
     runs: Dict[tuple, List[dict]] = {lane: [] for lane in lanes}
-    # Seed by seed, every lane back to back, so host drift hits all alike.
-    for seed in seeds_of(opts.seeds):
-        for workload, plant in lanes:
+    # Seed by seed, every lane back to back and the order reversed on every
+    # other seed, so host drift hits all lanes alike.
+    for index, seed in enumerate(seeds_of(opts.seeds)):
+        for workload, plant in lanes if index % 2 == 0 else lanes[::-1]:
             runs[(workload, plant)].append(run_once(workload, seed, seconds, plant=plant))
         print(f"seed {seed} done", flush=True)
 
@@ -154,12 +162,21 @@ def cmd_plant(opts) -> int:
                 f"  {quiet_workload}/{name}: worse by {change:+.3f} "
                 f"(bound {metric['bound']}) -> {'within' if ok else 'FLAGGED'}"
             )
-    seed = seeds_of(opts.seeds)[0]
-    for target, (workload, metric) in PLANT_LAYER.items():
-        plain = run_once(workload, seed, seconds, trace=1)
-        slowed = run_once(workload, seed, seconds, trace=1, plant=target)
-        rise = slowed[metric] / plain[metric] - 1
-        print(f"traced {workload} {metric} rises by {rise:+.3f} under the {target} plant")
+    seeds = seeds_of(opts.seeds)
+    for target, (workload, _metric, _quiet) in PLANT_EXPECT.items():
+        layer = f"{PLANTS[target][0]}_ms"
+        rises = [
+            run_once(workload, seeds[run % len(seeds)], seconds, trace=1, plant=target)["plant.layer_rise"]
+            for run in range(LAYER_RUNS)
+        ]
+        rise = statistics.median(rises)
+        ok = abs(rise - PLANT_SHARE) <= LAYER_TOLERANCE
+        failed |= not ok
+        print(
+            f"traced {workload}/{layer} rises by {rise:+.3f} under the {target} plant "
+            f"(runs: {', '.join(f'{r:+.3f}' for r in rises)}; want {PLANT_SHARE:+.2f} "
+            f"+- {LAYER_TOLERANCE}) -> {'ok' if ok else 'OFF'}"
+        )
     return 1 if failed else 0
 
 
@@ -190,7 +207,7 @@ def main(argv=None) -> int:
     one.add_argument("--seeds", default="1-10")
     one.add_argument("--seconds", type=int)
     two = sub.add_parser("plant")
-    two.add_argument("--seeds", default="1-3")
+    two.add_argument("--seeds", default="11-15")
     two.add_argument("--seconds", type=int)
     three = sub.add_parser("host")
     three.add_argument("--procs", type=int, default=10)

@@ -132,13 +132,20 @@ PER_LAYER = (
     ("bench.trace_overhead", "ratio"),
 )
 
-#: Functions a planted slowdown can target.
+#: Functions a planted slowdown can target: (traced layer, module, class,
+#: attribute).
 PLANTS = {
-    "template_from_expression": ("repro.templates.from_expression", None, "template_from_expression"),
-    "dominance_matrix": ("repro.engine.catalog", "CatalogAnalyzer", "dominance_matrix"),
+    "template_from_expression": (
+        "templates.build", "repro.templates.from_expression", None, "template_from_expression",
+    ),
+    "dominance_matrix": ("engine.matrix", "repro.engine.catalog", "CatalogAnalyzer", "dominance_matrix"),
 }
 PLANT_SHARE = 0.25
 EDIT_KINDS = ("add_view", "drop_view")
+
+#: Harness modules that bind program functions by name (``workloads`` calls
+#: ``parse_catalog``); wrappers replace those bindings too.
+HARNESS_MODULES = ("workloads",)
 
 Site = Tuple[object, str, object]  # (owner, attribute, previous value)
 
@@ -151,7 +158,7 @@ def _root(fn):
     return fn
 
 
-def _owners(current, extra_modules: Sequence[str]) -> List[Tuple[object, str, object]]:
+def _owners(current) -> List[Tuple[object, str, object]]:
     """Every ``(module, attribute, value)`` binding ``current``'s function.
 
     A binding may already hold a per-site wrapper (a planted slowdown), so
@@ -160,7 +167,7 @@ def _owners(current, extra_modules: Sequence[str]) -> List[Tuple[object, str, ob
 
     root = _root(current)
     names = [n for n in sys.modules if n == "repro" or n.startswith("repro.")]
-    names += [n for n in extra_modules if n in sys.modules]
+    names += [n for n in HARNESS_MODULES if n in sys.modules]
     owners = []
     for name in sorted(set(names)):
         module = sys.modules[name]
@@ -175,7 +182,6 @@ def wrap_everywhere(
     cls: Optional[str],
     attr: str,
     make: Callable[[Callable, str], Callable],
-    extra_modules: Sequence[str] = (),
 ) -> List[Site]:
     """Replace a function at every binding site, or a method on its class.
 
@@ -191,7 +197,7 @@ def wrap_everywhere(
         setattr(klass, attr, make(original, f"{module}.{cls}.{attr}"))
         sites.append((klass, attr, original))
         return sites
-    for holder, name, value in _owners(getattr(owner, attr), extra_modules):
+    for holder, name, value in _owners(getattr(owner, attr)):
         setattr(holder, name, make(value, f"{holder.__name__}.{name}"))
         sites.append((holder, name, value))
     return sites
@@ -202,10 +208,10 @@ def restore(sites: Sequence[Site]) -> None:
         setattr(holder, name, previous)
 
 
-def plant(target: str, extra_modules: Sequence[str] = ()) -> List[Site]:
+def plant(target: str) -> List[Site]:
     """Slow ``target`` by a busy-wait of 25% of each call's own duration."""
 
-    module, cls, attr = PLANTS[target]
+    _layer, module, cls, attr = PLANTS[target]
 
     def make(fn, site):
         @functools.wraps(fn)
@@ -221,7 +227,7 @@ def plant(target: str, extra_modules: Sequence[str] = ()) -> List[Site]:
 
         return slowed
 
-    return wrap_everywhere(module, cls, attr, make, extra_modules)
+    return wrap_everywhere(module, cls, attr, make)
 
 
 class Tracer:
@@ -233,8 +239,7 @@ class Tracer:
     ``nested_compute`` one made inside any compute-layer call.
     """
 
-    def __init__(self, extra_modules: Sequence[str] = ()) -> None:
-        self.extra_modules = tuple(extra_modules)
+    def __init__(self) -> None:
         self.local = threading.local()
         self.spans: List[tuple] = []
         self.phase = "setup"
@@ -286,9 +291,7 @@ class Tracer:
 
     def install(self) -> None:
         for metric, module, attr in FUNCTIONS:
-            self.sites += wrap_everywhere(
-                module, None, attr, self._make(metric), self.extra_modules
-            )
+            self.sites += wrap_everywhere(module, None, attr, self._make(metric))
         for metric, module, cls, attr in METHODS:
             self.sites += wrap_everywhere(module, cls, attr, self._make(metric))
 
@@ -325,15 +328,25 @@ def _loop() -> int:
     return total
 
 
-def loop_times(seconds: float) -> List[float]:
-    """Durations of the fixed pure-Python loop, repeated for ``seconds``."""
+def loop_times(seconds: float = 0.0, iterations: int = 0) -> List[float]:
+    """Durations of the fixed loop, for ``seconds`` or ``iterations`` runs.
 
-    times = []
+    The collector is off meanwhile: the loop allocates nothing it tracks,
+    and a large program heap must not add its pauses to the loop.
+    """
+
+    times: List[float] = []
     deadline = time.perf_counter() + seconds
-    while time.perf_counter() < deadline:
-        started = time.perf_counter()
-        _loop()
-        times.append(time.perf_counter() - started)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        while len(times) < iterations or time.perf_counter() < deadline:
+            started = time.perf_counter()
+            _loop()
+            times.append(time.perf_counter() - started)
+    finally:
+        if enabled:
+            gc.enable()
     return times
 
 
@@ -345,11 +358,13 @@ def calibrate(seconds: float = 0.5) -> Tuple[float, float]:
 
 
 class Hooks:
-    """Per-op counters the traced passes read around every op.
+    """Per-op counters read around every op, outside its timed region.
 
     Reads ``ENGINE_PROFILE`` and the memo-table counters right before and
-    after each op (outside its timed region), and the service's own
-    counters when a pass ends.
+    after each op, and the service's own counters when a pass ends.  The
+    per-op work counts are kept for every pass the hooks see, keyed by
+    (phase, pass), the warm-up pass in set-up included as ("setup", -1);
+    the totals behind the per-layer metrics count the traced passes only.
     """
 
     def __init__(self, tracer: Tracer, gc_clock: GcClock) -> None:
@@ -362,7 +377,7 @@ class Hooks:
         self.gc_clock = gc_clock
         self.cache = defaultdict(Counter)  # table -> hits/misses/evictions
         self.engine = Counter()
-        self.per_op: Dict[int, List[tuple]] = defaultdict(list)  # pass -> work counts
+        self.per_op: Dict[tuple, List[tuple]] = defaultdict(list)  # (phase, pass) -> work counts
         self.service_totals = Counter()
         self.queue_waits: List[float] = []
         self._before = None
@@ -377,14 +392,17 @@ class Hooks:
             for name, s in self.cache_stats().items()
         }
 
+    def _traced(self) -> bool:
+        return self.tracer.phase == "ops"
+
     def pass_start(self, service) -> None:
-        if service is not None:
+        if service is not None and self._traced():
             service.metrics(reset_windows=True)
 
     def op_start(self, index: int) -> None:
         self._before = (self._profile(), self._caches())
         self.tracer.op = index
-        self.gc_clock.active = True
+        self.gc_clock.active = self._traced()
 
     def op_end(self, index: int) -> None:
         self.gc_clock.active = False
@@ -392,20 +410,24 @@ class Hooks:
         profile, caches = self._profile(), self._caches()
         before_profile, before_caches = self._before
         decided, nodes, broadcast = (a - b for a, b in zip(profile, before_profile))
+        deltas = {
+            name: tuple(a - b for a, b in zip(counts, before_caches.get(name, (0, 0, 0))))
+            for name, counts in caches.items()
+        }
+        misses = sum(miss for _hits, miss, _evictions in deltas.values())
+        self.per_op[(self.tracer.phase, self.tracer.pass_no)].append((decided, nodes, misses))
+        if not self._traced():
+            return
         self.engine["pairs_decided"] += decided
         self.engine["hom_nodes"] += nodes
         self.engine["cells_broadcast"] += broadcast
-        misses = 0
-        for name, (hits, miss, evictions) in caches.items():
-            h0, m0, e0 = before_caches.get(name, (0, 0, 0))
-            self.cache[name]["hits"] += hits - h0
-            self.cache[name]["misses"] += miss - m0
-            self.cache[name]["evictions"] += evictions - e0
-            misses += miss - m0
-        self.per_op[self.tracer.pass_no].append((decided, nodes, misses))
+        for name, (hits, miss, evictions) in deltas.items():
+            self.cache[name]["hits"] += hits
+            self.cache[name]["misses"] += miss
+            self.cache[name]["evictions"] += evictions
 
     def pass_end(self, service) -> None:
-        if service is None:
+        if service is None or not self._traced():
             return
         metrics = service.metrics()
         self.queue_waits.append(metrics.queue_wait_p50_s)
@@ -420,6 +442,24 @@ class Hooks:
             self.service_totals["snapshots"] += metrics.journal["snapshot_records"]
 
 
+def floor_seconds(spans: Sequence[tuple], phase: str, passes: int) -> Counter:
+    """Per metric, the sum over ops of each op's lowest time in it.
+
+    Layer times follow the floor rule too: an op's time in a layer is its
+    lowest over the passes of ``phase``.  A call nested in another call of
+    the same metric is already counted by the outer one.
+    """
+
+    busy = defaultdict(lambda: [0.0] * passes)  # (metric, op) -> seconds per pass
+    for span_phase, pass_no, op, metric, _site, _tid, start, end, nested_same, _nc in spans:
+        if span_phase == phase and op >= 0 and not nested_same:
+            busy[(metric, op)][pass_no] += end - start
+    seconds = Counter()
+    for (metric, _op), per_pass in busy.items():
+        seconds[metric] += min(per_pass)
+    return seconds
+
+
 def trace_metrics(name, workload, hooks, plain, traced, import_ms, calib, decided):
     """Per-layer metrics and check failures from a traced run.
 
@@ -431,7 +471,6 @@ def trace_metrics(name, workload, hooks, plain, traced, import_ms, calib, decide
     passes = len(traced)
     ops = passes * len(workload.kinds)
     calls = Counter()
-    busy = defaultdict(lambda: [0.0] * passes)  # (metric, op) -> seconds per pass
     setup_calls = Counter()
     setup_seconds = Counter()
     compute = defaultdict(float)  # (pass, op) -> top-level compute seconds
@@ -447,15 +486,9 @@ def trace_metrics(name, workload, hooks, plain, traced, import_ms, calib, decide
         if phase != "ops" or op < 0:
             continue
         calls[metric] += 1
-        if not nested_same:
-            busy[(metric, op)][pass_no] += end - start
         if metric.split(".")[0] in COMPUTE_LAYERS and not nested_compute and not nested_same:
             compute[(pass_no, op)] += end - start
-    # Layer times follow the floor rule too: each op's time in a layer is
-    # its lowest over the traced passes.
-    seconds = Counter()
-    for (metric, _op), per_pass in busy.items():
-        seconds[metric] += min(per_pass)
+    seconds = floor_seconds(hooks.tracer.spans, "ops", passes)
 
     def per_op_ms(metric):
         return seconds[metric] * 1e3 / len(workload.kinds)
@@ -533,9 +566,20 @@ def trace_metrics(name, workload, hooks, plain, traced, import_ms, calib, decide
             f"ENGINE_PROFILE decided {decided} pairs"
         )
     if name == "design_batch":
-        counts = list(hooks.per_op.values())
-        if any(c != counts[0] for c in counts[1:]):
-            problems.append("cold-op: per-op work counts differ between traced passes")
+        # The warm-up is the first pass in the process, so every memo table
+        # starts empty there.  A cache that survives clear_caches() would
+        # make the later passes do less work than it did.
+        first = hooks.per_op.get(("setup", -1))
+        if first is None:
+            problems.append("cold-op: the warm-up pass recorded no work counts")
+        for pass_no in range(passes):
+            counts = hooks.per_op.get(("ops", pass_no))
+            if first is not None and counts != first:
+                changed = sum(1 for a, b in zip(counts or [], first) if a != b)
+                problems.append(
+                    f"cold-op: traced pass {pass_no} differs from the warm-up pass "
+                    f"in the work counts of {changed} ops"
+                )
     units = dict(PER_LAYER)
     missing = set(units) - set(values)
     if missing:

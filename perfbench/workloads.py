@@ -2,8 +2,10 @@
 
 Every workload follows one shape.  ``setup()`` builds the seeded inputs and
 runs one untimed warm-up pass; ``run_pass()`` replays the fixed op sequence
-once and returns one latency per op; ``verify()`` checks every recorded
-answer outside the timed region and returns a list of mismatch messages.
+once and returns one latency per op (and, given a ``reference`` list,
+appends the reference ops' times to it); ``verify()`` checks every recorded
+answer outside the timed region, against oracles built from freshly parsed
+views, and returns the mismatch messages with the number of failed ops.
 All three run one closed-loop client: the next op starts only after the
 previous one was answered.
 
@@ -22,7 +24,7 @@ import random
 import shutil
 import tempfile
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import repro
 from repro.catalog import Catalog, parse_catalog, serialize_catalog
@@ -44,6 +46,8 @@ from repro.workloads import (
     subscriber_mix,
     traffic_mix,
 )
+
+from layers import loop_times
 
 #: One fixed schema for every seed: the seed varies the views and the
 #: requests, never the relations they range over.
@@ -82,10 +86,20 @@ EDIT_COPIES = 28
 EDIT_FRESH = 28  # 56 adds, 56 drops: 112 edits
 EDIT_SUBSCRIBERS = 4
 #: Seeds the *shape* of the edit stream, the same for every run seed: the
-#: order of copy/fresh/drop edits (so the catalog-size trajectory), the
-#: edits' positions among the reads and the subscribers' topics.  The run
-#: seed picks the views, the reads and which extra view each drop removes.
+#: order of copy/fresh/drop edits (so the catalog-size trajectory), which
+#: extra view each drop removes, the edits' positions among the reads and
+#: the subscribers' topics.  The run seed picks the views and the reads.
 EDIT_SHAPE_SEED = 12
+
+#: In a measured pass, every REFERENCE_EVERY-th op is preceded by one
+#: iteration of the fixed loop, the *reference op* (run.py scales every
+#: timing by its floor; README.md, "Host speed").
+REFERENCE_EVERY = 32
+
+
+def _reference_op(reference: Optional[List[float]], index: int) -> None:
+    if reference is not None and index % REFERENCE_EVERY == 0:
+        reference.append(loop_times(iterations=1)[0])
 
 
 def _digest(value) -> str:
@@ -156,12 +170,47 @@ def quota_reads(views: Dict[str, object], rounds: int, seed: int) -> List[Traffi
 
 
 class Workload:
-    """What every workload shares: counters and no-op teardown."""
+    """What every workload shares: failure accounting and no-op teardown.
+
+    An op *fails in a pass* when it was refused or raised, when its answer
+    differs from the first pass's answer to the same op, or when the first
+    pass's answer failed the oracle (the oracle checks the first pass; the
+    others must repeat it).  ``failed`` counts those (pass, op) pairs, plus
+    one for each failed check that belongs to no single op.
+    """
 
     def __init__(self, seed: int) -> None:
         self.seed = seed
         self.errors: List[str] = []
         self.attempted = 0
+        self.passes = 0
+        self.keys: Optional[List[object]] = None
+        self.failed_ops: Set[Tuple[int, int]] = set()
+
+    def end_pass(self, keys: List[object], refused: Iterable[int]) -> None:
+        """Record one pass's answer keys and the ops it refused."""
+
+        pass_no = self.passes
+        self.passes += 1
+        self.failed_ops.update((pass_no, op) for op in refused)
+        if self.keys is None:
+            self.keys = keys
+            return
+        differ = [op for op, (got, want) in enumerate(zip(keys, self.keys)) if got != want]
+        if differ:
+            self.failed_ops.update((pass_no, op) for op in differ)
+            self.errors.append(
+                f"pass {pass_no}: {len(differ)} answers differ from the first pass "
+                f"(first at op {differ[0]})"
+            )
+
+    def verdict(self, errors: List[str], oracle_ops: Iterable[int], unplaced: int = 0):
+        """``(messages, failed)`` given the ops whose first answer failed the oracle."""
+
+        failed = set(self.failed_ops)
+        for op in set(oracle_ops):
+            failed.update((pass_no, op) for pass_no in range(self.passes))
+        return self.errors + errors, min(self.attempted, len(failed) + unplaced)
 
     async def close(self) -> None:
         """Stop what ``setup`` started (before ``verify``)."""
@@ -184,10 +233,9 @@ class DesignBatch(Workload):
         super().__init__(seed)
         self.texts: List[str] = []
         self.kinds: List[str] = []
-        self.reports: Optional[List[dict]] = None
-        self.digests: Optional[List[str]] = None
+        self.reports: Optional[List[Optional[dict]]] = None
 
-    async def setup(self) -> None:
+    async def setup(self, hooks=None) -> None:
         rng = random.Random(self.seed)
         for index in range(DESIGN_OPS):
             n, k = DESIGN_SHAPES[index % len(DESIGN_SHAPES)]
@@ -207,41 +255,46 @@ class DesignBatch(Workload):
             }
             self.texts.append(_text(views))
             self.kinds.append("analyze")
-        await self.run_pass()
+        await self.run_pass(hooks)
 
-    async def run_pass(self, hooks=None) -> List[float]:
+    async def run_pass(self, hooks=None, reference=None) -> List[float]:
         latencies = []
         digests = []
-        first = self.reports is None
+        refused = []
         reports = []
         if hooks is not None:
             hooks.pass_start(None)
         for index, text in enumerate(self.texts):
+            _reference_op(reference, index)
             repro.clear_caches()
             if hooks is not None:
                 hooks.op_start(index)
             started = time.perf_counter()
-            report = CatalogAnalyzer(parse_catalog(text)).analyze()
+            try:
+                report = CatalogAnalyzer(parse_catalog(text)).analyze()
+            except Exception as exc:  # counted as a failed op, not a crash
+                report = exc
             latencies.append(time.perf_counter() - started)
             if hooks is not None:
                 hooks.op_end(index)
             self.attempted += 1
-            data = report.to_dict()
+            if isinstance(report, Exception):
+                refused.append(index)
+                self.errors.append(f"pass {self.passes} catalog {index}: raised {report!r}")
+                data = None
+            else:
+                data = report.to_dict()
             digests.append(_digest(data))
-            if first:
+            if self.reports is None:
                 reports.append(data)
         if hooks is not None:
             hooks.pass_end(None)
-        if first:
+        if self.reports is None:
             self.reports = reports
-            self.digests = digests
-        else:
-            for index, (got, want) in enumerate(zip(digests, self.digests)):
-                if got != want:
-                    self.errors.append(f"catalog {index}: report differs between passes")
+        self.end_pass(digests, refused)
         return latencies
 
-    def verify(self) -> List[str]:
+    def verify(self):
         """Every report against per-pair ``repro.views.dominates``.
 
         The oracle decides all N(N-1) ordered pairs one by one, with none of
@@ -249,8 +302,12 @@ class DesignBatch(Workload):
         derives classes and core by their definitions.
         """
 
-        errors = list(self.errors)
+        errors: List[str] = []
+        wrong: Set[int] = set()
         for index, (text, report) in enumerate(zip(self.texts, self.reports)):
+            if report is None:
+                wrong.add(index)
+                continue
             repro.clear_caches()
             views = parse_catalog(text).views
             names = sorted(views)
@@ -266,17 +323,20 @@ class DesignBatch(Workload):
                 for b in names
                 if a != b
             }
+            found = []
             if got != matrix:
-                errors.append(f"catalog {index}: dominance differs from per-pair dominates")
-                continue
-            if report["names"] != names:
-                errors.append(f"catalog {index}: names differ")
-            classes = oracle_classes(names, matrix)
-            if sorted(map(tuple, report["equivalence_classes"])) != classes:
-                errors.append(f"catalog {index}: equivalence classes differ")
-            if tuple(report["nonredundant_core"]) != oracle_core(names, matrix):
-                errors.append(f"catalog {index}: nonredundant core differs")
-        return errors
+                found.append("dominance differs from per-pair dominates")
+            elif report["names"] != names:
+                found.append("names differ")
+            else:
+                if sorted(map(tuple, report["equivalence_classes"])) != oracle_classes(names, matrix):
+                    found.append("equivalence classes differ")
+                if tuple(report["nonredundant_core"]) != oracle_core(names, matrix):
+                    found.append("nonredundant core differs")
+            if found:
+                wrong.add(index)
+                errors += [f"catalog {index}: {message}" for message in found]
+        return self.verdict(errors, wrong)
 
 
 def oracle_classes(names, matrix) -> List[Tuple[str, ...]]:
@@ -327,27 +387,28 @@ class WarmReads(Workload):
     def __init__(self, seed: int) -> None:
         super().__init__(seed)
         self.responses = None
-        self.keys = None
         self.service: Optional[CatalogService] = None
 
-    async def setup(self) -> None:
+    async def setup(self, hooks=None) -> None:
         rng = random.Random(self.seed)
         bases = _distinct_bases(rng, WARM_CLASSES, "W")
-        text = _text(_catalog_of(bases, WARM_VIEWS // WARM_CLASSES))
-        self.views = parse_catalog(text).views
-        self.events = quota_reads(self.views, WARM_ROUNDS, self.seed)
+        self.text = _text(_catalog_of(bases, WARM_VIEWS // WARM_CLASSES))
+        views = parse_catalog(self.text).views
+        self.events = quota_reads(views, WARM_ROUNDS, self.seed)
         self.kinds = [event.kind for event in self.events]
-        self.service = CatalogService(self.views)
+        self.service = CatalogService(views)
         await self.service.start()
-        await self.run_pass()
+        await self.run_pass(hooks)
 
-    async def run_pass(self, hooks=None) -> List[float]:
+    async def run_pass(self, hooks=None, reference=None) -> List[float]:
         service = self.service
         latencies = []
         responses = []
+        refused = []
         if hooks is not None:
             hooks.pass_start(service)
         for index, event in enumerate(self.events):
+            _reference_op(reference, index)
             request = request_from_event(event)
             if hooks is not None:
                 hooks.op_start(index)
@@ -359,15 +420,16 @@ class WarmReads(Workload):
             self.attempted += 1
             responses.append(response)
             if response.status != "ok":
-                self.errors.append(f"read {index} ({event.kind}): {response.status} {response.reason}")
+                refused.append(index)
+                self.errors.append(
+                    f"pass {self.passes} read {index} ({event.kind}): "
+                    f"{response.status} {response.reason}"
+                )
         if hooks is not None:
             hooks.pass_end(service)
-        keys = [_response_key(r) for r in responses]
         if self.responses is None:
             self.responses = responses
-            self.keys = keys
-        elif keys != self.keys:
-            self.errors.append("read answers differ between passes")
+        self.end_pass([_response_key(r) for r in responses], refused)
         return latencies
 
     async def close(self) -> None:
@@ -375,9 +437,20 @@ class WarmReads(Workload):
             await self.service.close()
             self.service = None
 
-    def verify(self) -> List[str]:
-        verdict = verify_replay({0: self.views}, self.events, self.responses)
-        return self.errors + [f"oracle: {m}" for m in verdict["mismatches"]]
+    def verify(self):
+        """The first pass against a fresh serial analyzer (``verify_replay``).
+
+        The oracle gets freshly parsed views: a ``View`` caches its
+        templates, so the service's own objects would let it reuse what
+        the timed run computed.
+        """
+
+        fresh = parse_catalog(self.text).views
+        verdict = verify_replay({0: fresh}, self.events, self.responses)
+        mismatches = verdict["mismatches"]
+        return self.verdict(
+            [f"oracle: {m}" for m in mismatches], [m.get("index") for m in mismatches]
+        )
 
 
 # ------------------------------------------------------------ edit_stream
@@ -428,15 +501,17 @@ class EditStream(Workload):
         self.workdir = workdir
         self.tmp: Optional[str] = None
         self.first = None
-        self.keys = None
         self.journal_path: Optional[str] = None
         self.final_version = 0
 
-    async def setup(self) -> None:
+    async def setup(self, hooks=None) -> None:
         rng = random.Random(self.seed)
         shape = random.Random(EDIT_SHAPE_SEED)
-        bases = _distinct_bases(rng, EDIT_BASE_CLASSES, "E")
-        base = _catalog_of(bases, EDIT_BASE_COPIES)
+        # Fresh views differ in signature from the base classes and from
+        # each other, so every seed walks the same class-count trajectory.
+        bases = _distinct_bases(rng, EDIT_BASE_CLASSES + EDIT_FRESH, "E")
+        fresh = iter(bases[EDIT_BASE_CLASSES:])
+        base = _catalog_of(bases[:EDIT_BASE_CLASSES], EDIT_BASE_COPIES)
         reads = quota_reads(base, EDIT_READ_ROUNDS, self.seed)
         kinds = bounded_edit_kinds(shape, EDIT_COPIES, EDIT_FRESH, EDIT_BAND)
         # Pool catalog: the base views plus every view an edit installs, so
@@ -447,17 +522,14 @@ class EditStream(Workload):
         base_names = sorted(base)
         for seq, kind in enumerate(kinds):
             if kind == "drop":
-                name = live.pop(rng.randrange(len(live)))
+                name = live.pop(shape.randrange(len(live)))
                 edits.append(("drop_view", name))
                 continue
             name = f"Tadd{seq}"
             if kind == "copy":
                 pool[name] = _renamed_copy(base[rng.choice(base_names)], f"t{seq}")
             else:
-                pool[name] = random_view(
-                    SCHEMA, members=2, atoms_per_query=2,
-                    seed=rng.randrange(1 << 30), name_prefix=f"TE{seq}V",
-                )
+                pool[name] = next(fresh)
             live.append(name)
             edits.append(("add_view", name))
         # The edits' positions among the reads belong to the stream shape.
@@ -478,7 +550,13 @@ class EditStream(Workload):
         ]
         os.makedirs(self.workdir, exist_ok=True)
         self.tmp = tempfile.mkdtemp(prefix="edit-", dir=self.workdir)
-        await self.run_pass()
+        await self.run_pass(hooks)
+
+    def _fresh(self) -> Tuple[Dict[str, object], List[TrafficEvent]]:
+        """The base catalog and the events over newly parsed views."""
+
+        pool = parse_catalog(self.pool_text).views
+        return {name: pool[name] for name in self.base_names}, self._events(pool)
 
     def _events(self, pool) -> List[TrafficEvent]:
         events = []
@@ -492,11 +570,9 @@ class EditStream(Workload):
                 )
         return events
 
-    async def run_pass(self, hooks=None) -> List[float]:
+    async def run_pass(self, hooks=None, reference=None) -> List[float]:
         repro.clear_caches()
-        pool = parse_catalog(self.pool_text).views
-        base = {name: pool[name] for name in self.base_names}
-        events = self._events(pool)
+        base, events = self._fresh()
         if self.journal_path is not None:
             os.remove(self.journal_path)
         self.journal_path = os.path.join(self.tmp, "journal.jsonl")
@@ -504,6 +580,7 @@ class EditStream(Workload):
         await service.start()
         latencies: List[float] = []
         responses = []
+        refused = []
         try:
             if hooks is not None:
                 hooks.pass_start(service)
@@ -516,6 +593,7 @@ class EditStream(Workload):
                 await service.view_report(name)
             gc.collect()
             for index, event in enumerate(events):
+                _reference_op(reference, index)
                 request = request_from_event(event)
                 if hooks is not None:
                     hooks.op_start(index)
@@ -529,7 +607,11 @@ class EditStream(Workload):
                 self.attempted += 1
                 responses.append(response)
                 if response.status != "ok":
-                    self.errors.append(f"op {index} ({event.kind}): {response.status} {response.reason}")
+                    refused.append(index)
+                    self.errors.append(
+                        f"pass {self.passes} op {index} ({event.kind}): "
+                        f"{response.status} {response.reason}"
+                    )
             if hooks is not None:
                 hooks.pass_end(service)
             records = [
@@ -540,12 +622,9 @@ class EditStream(Workload):
             self.final_version = service.version
         finally:
             await service.close()
-        keys = [_response_key(r) for r in responses]
         if self.first is None:
-            self.first = (base, events, responses, records, delta_log)
-            self.keys = keys
-        elif keys != self.keys:
-            self.errors.append("answers differ between passes")
+            self.first = (responses, records, delta_log)
+        self.end_pass([_response_key(r) for r in responses], refused)
         return latencies
 
     def history(self, base, events) -> Dict[int, Dict[str, object]]:
@@ -563,28 +642,40 @@ class EditStream(Workload):
             history[len(history)] = dict(views)
         return history
 
-    def verify(self) -> List[str]:
-        base, events, responses, records, delta_log = self.first
+    def verify(self):
+        """The first pass's answers, delta folds and the last journal.
+
+        Answers and folds are checked against fresh serial analyzers over
+        freshly parsed views (a ``View`` caches its templates, so the timed
+        run's objects would let the oracle reuse its work).  Fold, ledger,
+        band and journal failures belong to no single op; each counts as
+        one failed op.
+        """
+
+        responses, records, delta_log = self.first
+        base, events = self._fresh()
         history = self.history(base, events)
-        errors = list(self.errors)
+        replay = verify_replay(history, events, responses)
+        errors = [f"oracle: {m}" for m in replay["mismatches"]]
+        stream: List[str] = []
         sizes = [len(v) for v in history.values()]
         if min(sizes) < len(base) or max(sizes) > len(base) + EDIT_BAND:
-            errors.append(f"catalog size left its band: {min(sizes)}..{max(sizes)}")
-        replay = verify_replay(history, events, responses)
-        errors += [f"oracle: {m}" for m in replay["mismatches"]]
+            stream.append(f"catalog size left its band: {min(sizes)}..{max(sizes)}")
         folds = verify_subscriptions(history, delta_log, records)
-        errors += [f"subscriptions: {m}" for m in folds["mismatches"]]
+        stream += [f"subscriptions: {m}" for m in folds["mismatches"]]
         if folds["silent_drops"]:
-            errors.append(f"subscriptions: {folds['silent_drops']} silent drops")
+            stream.append(f"subscriptions: {folds['silent_drops']} silent drops")
         recovered = recover_service(self.journal_path)
         if recovered.version != self.final_version:
-            errors.append(
+            stream.append(
                 f"journal recovered version {recovered.version}, served {self.final_version}"
             )
         if sorted(recovered.views) != sorted(history[len(history) - 1]):
-            errors.append("journal recovered a different catalog")
-        errors += [f"recovery: {m}" for m in recovered.verify()]
-        return errors
+            stream.append("journal recovered a different catalog")
+        stream += [f"recovery: {m}" for m in recovered.verify()]
+        return self.verdict(
+            errors + stream, [m.get("index") for m in replay["mismatches"]], len(stream)
+        )
 
     def cleanup(self) -> None:
         if self.tmp is not None:
