@@ -1,8 +1,8 @@
 """Lightweight timing harness: the machine-readable perf trajectory.
 
-Runs the scenarios of the ``bench_membership``, ``bench_equivalence`` and
-``bench_redundancy`` suites — plus the PR-2 ``large_membership`` (cold-path
-scale-up: deep joins, scheme prechecks) and ``catalog`` (batched
+Runs the ``membership``, ``equivalence`` and ``redundancy`` suites — plus
+the PR-2 ``large_membership`` (cold-path scale-up: deep joins, scheme
+prechecks) and ``catalog`` (batched
 :class:`repro.engine.CatalogAnalyzer`: signature dedup, parallel fan-out)
 suites, and the PR-3 ``service`` suite (simulated request/edit traffic
 against the long-lived :class:`repro.service.CatalogService`: throughput,
@@ -284,7 +284,7 @@ def bench_redundancy(repeats: int, smoke: bool = False) -> Dict[str, object]:
                 repeats,
             )
         )
-    # The view-level API end to end, as bench_redundancy measures it.
+    # The view-level API end to end.
     padded2 = redundant_view(base, extra_members=2, seed=32)
     scenarios.append(
         _time_scenario(

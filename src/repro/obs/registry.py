@@ -11,7 +11,8 @@ buckets.
 Two feeding styles coexist:
 
 * **live-fed** — histograms observe each sample at record time (the
-  service feeds latency/queue-wait/push-latency in its finish paths);
+  service feeds latency/queue-wait in its one completion path and
+  push latency at edit commit);
 * **collect-at-export** — counters and gauges are refreshed from the
   owning component's live counters when the registry is rendered
   (``Counter.set_total`` / ``Gauge.set``), keeping the request hot path

@@ -105,6 +105,7 @@ from repro.obs.drift import (
     CoverageMonitor,
 )
 from repro.service.deadline import DeadlinePolicy, TIER_BASE
+from repro.service.requests import ServiceRequest
 
 __all__ = [
     "ADMISSION_MODES",
@@ -344,18 +345,44 @@ class AdmissionController:
             if censored:
                 window.censored += 1
 
-    def record_outcome(self, interval: "ConformalInterval", latency_s: float) -> None:
-        """Feed the drift monitor one served outcome against its interval.
+    def record_finished(
+        self,
+        request: ServiceRequest,
+        n_views: int,
+        total_s: float,
+        status: str,
+        computed: bool,
+        interval: Optional["ConformalInterval"] = None,
+    ) -> None:
+        """The sample rule: what one finished request teaches the model.
 
-        Called by the service for every completed (``ok``/``partial``)
-        response that was stamped with a calibrated interval at
-        admission — the same population ``verify_replay`` scores offline.
-        Censored outcomes (sheds, refusals) are *not* fed: the offline
-        coverage definitions skip them too, and a censored latency is a
-        lower bound that would bias two-sided coverage downward.
+        The service calls this for every request that held a queue slot,
+        in both admission modes (a later conformal service starts warm, and
+        metrics always show the calibration state):
+
+        * an answered read (``ok``/``partial``) is an exact sample, plus
+          one drift-monitor outcome when it was stamped with an interval
+          at admission — the same population ``verify_replay`` scores
+          offline;
+        * a read refused before any work started (shed, or expired or
+          below the floor at dispatch: ``computed=False``) is a censored
+          sample — the survivorship fix.  Censored outcomes never reach
+          the drift monitor: the offline coverage definitions skip them
+          too, and a lower bound would bias two-sided coverage downward;
+        * anything else — an edit, or a read refused after its work began —
+          gives nothing.
         """
 
-        self.drift.observe(interval.lo_s, interval.hi_s, latency_s)
+        if request.is_edit:
+            return
+        if status != "refused":
+            self.observe(request.kind, request.deadline_s, n_views, total_s)
+            if interval is not None:
+                self.drift.observe(interval.lo_s, interval.hi_s, total_s)
+        elif not computed:
+            self.observe(
+                request.kind, request.deadline_s, n_views, total_s, censored=True
+            )
 
     def interval_for(
         self, kind: str, deadline_s: Optional[float], n_views: int

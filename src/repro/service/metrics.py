@@ -66,10 +66,23 @@ class ServiceMetrics:
       snapshot's percentiles cover only the traffic in between; the
       totals above are untouched by design.
 
+    **Where each total is counted.**  The service accounts every terminal
+    outcome of a request once, on one completion path: answered, partial,
+    refused at serve, shed, edit committed, edit failed, and refused at
+    submission (queue full, or an unmeetable deadline).  That path counts
+    ``served``, ``refused``, ``deadlined``, the miss split, ``shed``,
+    ``admission_refused`` and ``confidence_attached``, and feeds the
+    latency and queue-wait windows.  A request refused at submission never
+    queued: it reports zero latency and wait and stays out of the
+    windows.  ``coalesced`` and ``max_queue_depth`` are counted at
+    submission; ``edits``, ``reuse_*`` and ``push_*`` at edit commit;
+    ``warm_*`` by the cache warmer; the subscription block is the hub's.
+
     ``served`` counts completed answers (``ok`` plus ``partial``);
     ``refused`` counts explicit refusals; ``coalesced`` counts duplicate
     in-flight questions that shared an already-pending answer instead of
-    enqueueing.  ``deadlined`` counts requests that carried any deadline;
+    enqueueing.  ``deadlined`` counts requests that carried any deadline,
+    refusals at submission included (a refusal is never a miss);
     ``deadline_misses`` those among them that expired in the queue or
     finished late — split into ``missed_in_queue`` (the deadline was already
     gone before any computation started: shed by the scheduler or refused at

@@ -67,6 +67,7 @@ import math
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Hashable, Optional, Set
 
 from repro.engine.catalog import CatalogAnalyzer, ViewsInput
@@ -92,7 +93,6 @@ from repro.relalg.ast import Expression
 from repro.service.admission import (
     ADMISSION_MODES,
     AdmissionController,
-    AdmissionDecision,
     ConformalInterval,
 )
 from repro.service.deadline import DeadlinePolicy, TIER_BASE, TIER_REFUSE
@@ -137,20 +137,53 @@ __all__ = ["CatalogService"]
 _LATENCY_WINDOW = 4096
 
 
+@dataclass
+class _Totals:
+    """The service's monotonic totals, named as the ServiceMetrics fields.
+
+    Event-loop thread only, so plain ints are safe.  Request outcomes are
+    counted in :meth:`CatalogService._finish`; ``coalesced`` and
+    ``max_queue_depth`` at submission; ``edits``/``reuse_*``/
+    ``push_total_s`` at edit commit; ``warm_*`` by the cache warmer.
+    :meth:`CatalogService.metrics` unpacks the record whole and
+    :meth:`CatalogService.metrics_registry` reads it.
+    """
+
+    served: int = 0
+    refused: int = 0
+    coalesced: int = 0
+    edits: int = 0
+    deadlined: int = 0
+    deadline_misses: int = 0
+    missed_in_queue: int = 0
+    missed_computing: int = 0
+    shed: int = 0
+    max_queue_depth: int = 0
+    reuse_reused: int = 0
+    reuse_needed: int = 0
+    push_total_s: float = 0.0
+    warm_prefetches: int = 0
+    warm_hits: int = 0
+    warm_errors: int = 0
+    admission_refused: int = 0
+    confidence_attached: int = 0
+
+
 class _TraceMarks:
     """Per-request stage boundaries, allocated only when tracing is on.
 
     All stamps come from the service's one injectable monotonic clock, so
     the spans :meth:`CatalogService._emit_spans` derives from consecutive
     marks tile the measured end-to-end latency exactly.  ``None`` marks
-    mean the request never reached that boundary (shed, refused early).
+    mean the request never reached that boundary (refused at submission,
+    shed, refused early).
     """
 
     __slots__ = ("tid", "admitted", "dispatched", "compute_started", "diff_done", "journal_done")
 
-    def __init__(self, tid: int, admitted: float) -> None:
+    def __init__(self, tid: int) -> None:
         self.tid = tid
-        self.admitted = admitted
+        self.admitted: Optional[float] = None
         self.dispatched: Optional[float] = None
         self.compute_started: Optional[float] = None
         self.diff_done: Optional[float] = None
@@ -160,7 +193,7 @@ class _TraceMarks:
 class _WorkItem:
     __slots__ = ("request", "future", "enqueued", "key", "interval", "trace")
 
-    def __init__(self, request, future, enqueued, key, interval=None, trace=None):
+    def __init__(self, request, future, enqueued, key, trace=None):
         self.request = request
         self.future = future
         self.enqueued = enqueued
@@ -168,7 +201,7 @@ class _WorkItem:
         # The conformal service-time interval consulted at admission
         # (conformal mode, deadlined reads only) — stamped onto the
         # response so the calibrator's empirical coverage is measurable.
-        self.interval = interval
+        self.interval: Optional[ConformalInterval] = None
         # _TraceMarks when the service tracer is enabled, else None.
         self.trace = trace
 
@@ -248,6 +281,17 @@ class CatalogService:
     clock:
         Monotonic time source (injectable for tests).
 
+    Accounting has one path.  Every terminal outcome — answered (``ok``
+    or ``partial``), refused at serve, shed, edit committed, edit failed,
+    and the queue-full and unmeetable refusals at submission — goes
+    through ``_finish`` once.  That method feeds the totals and sample
+    windows, the latency and queue-wait histograms, the calibrator (its
+    sample rule is :meth:`AdmissionController.record_finished`), the SLO
+    engine, the spans and tail sampler, and builds the one response.
+    Other totals are counted where their event happens: ``coalesced`` and
+    ``max_queue_depth`` at submission, ``edits``, ``reuse_*`` and
+    ``push_total_s`` at edit commit, ``warm_*`` in the cache warmer.
+
     Use as an async context manager, or call :meth:`start`/:meth:`close`.
     """
 
@@ -309,42 +353,28 @@ class CatalogService:
         self._inflight: Dict[Hashable, asyncio.Future] = {}
         self._seq = itertools.count()
         self._started_at: Optional[float] = None
-        # Counters (event-loop thread only, so plain ints are safe).
-        self._served = 0
-        self._refused = 0
-        self._coalesced = 0
-        self._edits = 0
-        self._deadlined = 0
-        self._deadline_misses = 0
-        self._missed_in_queue = 0
-        self._missed_computing = 0
-        self._shed = 0
-        self._max_queue_depth = 0
+        self._totals = _Totals()
         self._latencies: Deque[float] = deque(maxlen=_LATENCY_WINDOW)
         self._queue_waits: Deque[float] = deque(maxlen=_LATENCY_WINDOW)
-        self._reuse_reused = 0
-        self._reuse_needed = 0
         self._push_latencies: Deque[float] = deque(maxlen=_LATENCY_WINDOW)
-        self._push_total_s = 0.0
         # Conformal admission (PR 7).  The controller always exists and
         # always observes — censored samples included — so its calibration
         # state is inspectable (and warm) in either mode; only the gate in
         # submit() is switched by the mode.
         self._admission_mode = admission
         self._admission = AdmissionController(policy, coverage=coverage)
-        self._admission_refused = 0
-        self._confidence_attached = 0
         self._pool: Optional[OrderedPool] = None
         # Observability (PR 8): the tracer (NULL_TRACER when off — every
         # recording site is guarded by its ``enabled`` flag) and the
-        # metrics registry.  The three histograms are live-fed on the
-        # finish paths; everything else is refreshed from the live
-        # counters when metrics_registry() is exported.
+        # metrics registry.  The request histograms are live-fed by
+        # _finish and the push histogram at edit commit; everything else
+        # is refreshed from the live totals when metrics_registry() is
+        # exported.
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._inflight_traces: Dict[Hashable, int] = {}
         # PR 10 telemetry consumers: the SLO burn-rate engine folds in
-        # every finished request (dispatcher thread only, like the
-        # counters above); the tail sampler rules on each completed trace
+        # every finished request (event-loop thread only, like the
+        # totals above); the tail sampler rules on each completed trace
         # at span-emission time, so it is meaningless without a tracer.
         if sampler is not None and not self._tracer.enabled:
             raise ServiceError("tail sampling needs a tracer (pass tracer=...)")
@@ -372,9 +402,6 @@ class CatalogService:
         self._warm_sub: Optional[Subscription] = None
         self._warm_task: Optional[asyncio.Task] = None
         self._warmed: Dict[str, int] = {}
-        self._warm_prefetches = 0
-        self._warm_hits = 0
-        self._warm_errors = 0
 
     # ------------------------------------------------------------ lifecycle
     async def start(self) -> "CatalogService":
@@ -572,7 +599,7 @@ class CatalogService:
         now = self._clock()
         key = request.coalesce_key(self._version)
         if key is not None and key in self._inflight:
-            self._coalesced += 1
+            self._totals.coalesced += 1
             if self._tracer.enabled:
                 # Followers never get their own _WorkItem; a zero-length
                 # link span ties the follower's trace to the leader whose
@@ -588,6 +615,9 @@ class CatalogService:
                     },
                 )
             return await asyncio.shield(self._inflight[key])
+        marks = _TraceMarks(self._tracer.new_trace()) if self._tracer.enabled else None
+        future = asyncio.get_running_loop().create_future()
+        item = _WorkItem(request, future, now, key, marks)
         # The conformal admission gate sits ahead of the queue (and so
         # ahead of EDF): a deadlined read whose deadline cannot be met —
         # deterministically (below the policy floor) or at calibrated
@@ -595,7 +625,6 @@ class CatalogService:
         # *here*, before it spends a queue slot or any wall-clock waiting.
         # The refusal is explicit and verdict-free; cold classes pass
         # through, so an uncalibrated service admits what "off" admits.
-        trace_id = self._tracer.new_trace() if self._tracer.enabled else 0
         interval: Optional[ConformalInterval] = None
         if (
             self._admission_mode == "conformal"
@@ -606,36 +635,14 @@ class CatalogService:
                 request.kind, request.deadline_s, len(self._analyzer.views)
             )
             if not decision.admit:
-                if self._tracer.enabled:
-                    # Refusals are always interesting: the sampler keeps
-                    # them with probability 1 and the ledger counts them.
-                    if self._sampler is not None:
-                        self._sampler.decide(True)
-                    self._tracer.record(
-                        trace_id,
-                        STAGE_ADMISSION,
-                        now,
-                        self._clock(),
-                        {
-                            "verdict": "refuse_unmeetable",
-                            "mode": self._admission_mode,
-                            "kind": request.kind,
-                        },
-                    )
-                if self._slo is not None:
-                    end = self._clock()
-                    self._slo.observe(
-                        end, request.kind, max(0.0, end - now), "refused"
-                    )
-                return self._refuse_unmeetable(request, decision, trace_id)
+                item.interval = decision.interval
+                return self._finish(
+                    item,
+                    status="refused",
+                    reason=decision.reason,
+                    verdict="refuse_unmeetable",
+                )
             interval = decision.interval
-        marks = None
-        if self._tracer.enabled:
-            # The admission span closes here: the gate has spoken and the
-            # request is about to take a queue slot.
-            marks = _TraceMarks(trace_id, self._clock())
-        future = asyncio.get_running_loop().create_future()
-        item = _WorkItem(request, future, now, key, interval, marks)
         # Edits are never shed — a catalog mutation must be applied, not
         # dropped because a deadline elapsed (a deadline on an edit only
         # feeds the response's miss accounting).  For *ordering* they carry
@@ -663,27 +670,17 @@ class CatalogService:
         try:
             self._sched.put_nowait(entry)
         except asyncio.QueueFull:
-            self._refused += 1
-            if marks is not None:
-                if self._sampler is not None:
-                    self._sampler.decide(True)
-                self._tracer.record(
-                    marks.tid,
-                    STAGE_ADMISSION,
-                    now,
-                    self._clock(),
-                    {"verdict": "refuse_queue_full", "kind": request.kind},
-                )
-            if self._slo is not None:
-                end = self._clock()
-                self._slo.observe(end, request.kind, max(0.0, end - now), "refused")
-            return ServiceResponse(
-                kind=request.kind,
+            return self._finish(
+                item,
                 status="refused",
                 reason=f"admission queue full ({self._queue_limit} pending)",
-                version=self._version,
-                trace_id=marks.tid if marks is not None else None,
+                verdict="refuse_queue_full",
             )
+        # Admitted: the request holds a queue slot, so the admission span
+        # closes here and the gate's interval is stamped on its response.
+        item.interval = interval
+        if marks is not None:
+            marks.admitted = self._clock()
         if key is not None:
             self._inflight[key] = future
             if marks is not None:
@@ -694,7 +691,9 @@ class CatalogService:
                     self._inflight_traces.pop(k, None),
                 )
             )
-        self._max_queue_depth = max(self._max_queue_depth, self._sched.qsize())
+        self._totals.max_queue_depth = max(
+            self._totals.max_queue_depth, self._sched.qsize()
+        )
         return await future
 
     # Convenience wrappers -------------------------------------------------
@@ -825,25 +824,14 @@ class CatalogService:
 
         uptime = self._clock() - self._started_at if self._started_at is not None else 0.0
         snapshot = ServiceMetrics(
-            served=self._served,
-            refused=self._refused,
-            coalesced=self._coalesced,
-            edits=self._edits,
-            deadlined=self._deadlined,
-            deadline_misses=self._deadline_misses,
-            missed_in_queue=self._missed_in_queue,
-            missed_computing=self._missed_computing,
-            shed=self._shed,
+            **vars(self._totals),
             scheduler=self._scheduler_name,
             queue_depth=self._sched.qsize() if self._sched is not None else 0,
-            max_queue_depth=self._max_queue_depth,
             uptime_s=uptime,
             latency_p50_s=percentile(self._latencies, 0.5),
             latency_p95_s=percentile(self._latencies, 0.95),
             queue_wait_p50_s=percentile(self._queue_waits, 0.5),
             queue_wait_p95_s=percentile(self._queue_waits, 0.95),
-            reuse_reused=self._reuse_reused,
-            reuse_needed=self._reuse_needed,
             subscribers=self._hub.subscriber_count,
             deltas_published=self._hub.published,
             deltas_delivered=self._hub.delivered,
@@ -855,14 +843,8 @@ class CatalogService:
             resyncs_forced=self._hub.resyncs_forced,
             push_p50_s=percentile(self._push_latencies, 0.5),
             push_p95_s=percentile(self._push_latencies, 0.95),
-            push_total_s=self._push_total_s,
-            warm_prefetches=self._warm_prefetches,
-            warm_hits=self._warm_hits,
-            warm_errors=self._warm_errors,
             admission_mode=self._admission_mode,
             admission_coverage=self._admission.coverage,
-            admission_refused=self._admission_refused,
-            confidence_attached=self._confidence_attached,
             admission_calibration=self._admission.stats(),
             admission_drift=self._admission.drift_stats(),
             journal=self._journal.stats() if self._journal is not None else None,
@@ -879,9 +861,10 @@ class CatalogService:
     def metrics_registry(self) -> MetricsRegistry:
         """The service's metrics registry, refreshed from the live counters.
 
-        The three latency histograms are live-fed on the finish paths;
-        every counter and gauge here is refreshed collect-style from the
-        authoritative live counters of the service, scheduler,
+        The three latency histograms are live-fed (request latency and
+        queue wait by the one completion path, push latency at edit
+        commit); every counter and gauge here is refreshed collect-style
+        from the authoritative live totals of the service, scheduler,
         subscription hub, journal, admission controller (including the
         drift monitor), memo caches and engine profiler — the request hot
         path pays nothing for them.  Render with
@@ -889,21 +872,20 @@ class CatalogService:
         """
 
         reg = self._registry
-        served = reg.counter("repro_requests_served_total", "Requests answered (ok/partial)")
-        served.set_total(self._served)
-        refused = reg.counter("repro_requests_refused_total", "Requests refused")
-        refused.set_total(self._refused)
-        reg.counter("repro_requests_coalesced_total", "Duplicate reads riding an in-flight leader").set_total(self._coalesced)
-        reg.counter("repro_edits_total", "Catalog edits committed").set_total(self._edits)
-        reg.counter("repro_deadlined_total", "Requests submitted with a deadline").set_total(self._deadlined)
+        totals = self._totals
+        reg.counter("repro_requests_served_total", "Requests answered (ok/partial)").set_total(totals.served)
+        reg.counter("repro_requests_refused_total", "Requests refused").set_total(totals.refused)
+        reg.counter("repro_requests_coalesced_total", "Duplicate reads riding an in-flight leader").set_total(totals.coalesced)
+        reg.counter("repro_edits_total", "Catalog edits committed").set_total(totals.edits)
+        reg.counter("repro_deadlined_total", "Requests submitted with a deadline").set_total(totals.deadlined)
         misses = reg.counter(
             "repro_deadline_misses_total",
             "Deadline misses split by where the miss was decided",
             labelnames=("phase",),
         )
-        misses.set_total(self._missed_in_queue, phase="queue")
-        misses.set_total(self._missed_computing, phase="computing")
-        reg.counter("repro_shed_total", "Expired work shed before dispatch").set_total(self._shed)
+        misses.set_total(totals.missed_in_queue, phase="queue")
+        misses.set_total(totals.missed_computing, phase="computing")
+        reg.counter("repro_shed_total", "Expired work shed before dispatch").set_total(totals.shed)
         sched_stats = (
             self._sched.stats()
             if self._sched is not None
@@ -915,7 +897,7 @@ class CatalogService:
             labelnames=("scheduler",),
         ).set(sched_stats["depth"], scheduler=str(sched_stats["scheduler"]))
         reg.gauge("repro_queue_capacity", "Admission-queue bound").set(sched_stats["capacity"])
-        reg.gauge("repro_queue_depth_max", "High-water admission-queue depth").set(self._max_queue_depth)
+        reg.gauge("repro_queue_depth_max", "High-water admission-queue depth").set(totals.max_queue_depth)
         reg.gauge("repro_catalog_version", "Current catalog version").set(self._version)
         reg.gauge("repro_uptime_seconds", "Seconds since the service started").set(
             self._clock() - self._started_at if self._started_at is not None else 0.0
@@ -925,8 +907,8 @@ class CatalogService:
             "Representative pairs per edit, reused vs newly decided",
             labelnames=("outcome",),
         )
-        reuse.set_total(self._reuse_reused, outcome="reused")
-        reuse.set_total(max(0, self._reuse_needed - self._reuse_reused), outcome="decided")
+        reuse.set_total(totals.reuse_reused, outcome="reused")
+        reuse.set_total(max(0, totals.reuse_needed - totals.reuse_reused), outcome="decided")
         # Subscription hub.
         reg.gauge("repro_subscribers", "Live subscriptions").set(self._hub.subscriber_count)
         deltas = reg.counter(
@@ -949,9 +931,9 @@ class CatalogService:
             "Delta-driven view-report prefetches and the reads that hit them",
             labelnames=("event",),
         )
-        warm.set_total(self._warm_prefetches, event="prefetch")
-        warm.set_total(self._warm_hits, event="hit")
-        warm.set_total(self._warm_errors, event="error")
+        warm.set_total(totals.warm_prefetches, event="prefetch")
+        warm.set_total(totals.warm_hits, event="hit")
+        warm.set_total(totals.warm_errors, event="error")
         # Journal.
         if self._journal is not None:
             stats = self._journal.stats()
@@ -979,8 +961,8 @@ class CatalogService:
         )
         samples.set_total(adm["samples"] - adm["censored"], kind="observed")
         samples.set_total(adm["censored"], kind="censored")
-        reg.counter("repro_admission_refused_total", "Reads refused as provably unmeetable").set_total(self._admission_refused)
-        reg.counter("repro_confidence_attached_total", "Partial answers stamped with calibrated confidence").set_total(self._confidence_attached)
+        reg.counter("repro_admission_refused_total", "Reads refused as provably unmeetable").set_total(totals.admission_refused)
+        reg.counter("repro_confidence_attached_total", "Partial answers stamped with calibrated confidence").set_total(totals.confidence_attached)
         drift = self._admission.drift_stats()
         reg.gauge(
             "repro_admission_windowed_coverage",
@@ -1115,7 +1097,6 @@ class CatalogService:
                 # refuse before dispatch, spending nothing on a doomed
                 # answer.  _finish resolves the future, so any coalesced
                 # followers riding it are refused too.
-                self._shed += 1
                 waited = max(0.0, now - item.enqueued)
                 self._finish(
                     item,
@@ -1155,50 +1136,6 @@ class CatalogService:
                 self._serve_tasks.add(task)
                 task.add_done_callback(self._serve_tasks.discard)
 
-    def _resolve(self, item: _WorkItem, response: ServiceResponse) -> None:
-        if not item.future.done():
-            item.future.set_result(response)
-
-    def _refuse_unmeetable(
-        self,
-        request: ServiceRequest,
-        decision: AdmissionDecision,
-        trace_id: int = 0,
-    ) -> ServiceResponse:
-        """The admission gate's refusal: instant, explicit, verdict-free.
-
-        The request never queued, so it resolves with ~zero latency —
-        well inside its deadline, hence **not** a miss: the controller
-        declining doomed work up front is exactly what pulls the
-        deadline-miss rate below the shed-after-expiry baseline.  It
-        still counts as ``deadlined`` so the miss-rate denominator stays
-        comparable between admission modes.  No service-time sample is
-        recorded (an instant refusal says nothing about service time).
-        """
-
-        self._refused += 1
-        self._deadlined += 1
-        self._admission_refused += 1
-        interval = decision.interval
-        confidence = self._admission.confidence_unmeetable(
-            request.kind, request.deadline_s, len(self._analyzer.views)
-        )
-        return ServiceResponse(
-            kind=request.kind,
-            status="refused",
-            reason=decision.reason,
-            version=self._version,
-            unmeetable=True,
-            predicted_lo_s=interval.lo_s if interval is not None else None,
-            predicted_hi_s=(
-                None
-                if interval is None or math.isinf(interval.hi_s)
-                else interval.hi_s
-            ),
-            confidence=confidence,
-            trace_id=trace_id if trace_id else None,
-        )
-
     def _finish(
         self,
         item: _WorkItem,
@@ -1208,77 +1145,79 @@ class CatalogService:
         reason: str = "",
         tier: str = TIER_BASE,
         version: Optional[int] = None,
-        queue_wait: Optional[float] = None,
+        queue_wait: float = 0.0,
         computed: bool = True,
         shed: bool = False,
-    ) -> None:
+        verdict: str = "admit",
+    ) -> ServiceResponse:
+        """Account one terminal outcome, once, and resolve its future.
+
+        Every way a request ends passes through here exactly once:
+        answered (``ok``/``partial``), refused at serve, shed, edit
+        committed, edit failed, and the two refusals at submission —
+        ``verdict="refuse_unmeetable"`` (the conformal gate) and
+        ``verdict="refuse_queue_full"`` (backpressure).  Each consumer is
+        called directly: the totals and sample windows, the latency and
+        queue-wait histograms, the calibrator (whose sample rule is
+        :meth:`AdmissionController.record_finished`), the SLO engine, the
+        spans with the tail sampler, and the one :class:`ServiceResponse`.
+
+        A request refused at submission never queued: it reports zero wait
+        and latency, so it is never a miss, and it feeds neither the
+        windows, the histograms nor the calibrator (an instant refusal says
+        nothing about service time).  It still counts as ``deadlined`` when
+        it carried a deadline, so the miss-rate denominator stays
+        comparable between admission modes.
+        """
+
         now = self._clock()
-        latency = max(0.0, now - item.enqueued)
-        waited = latency if queue_wait is None else max(0.0, queue_wait)
-        self._h_queue_wait.observe(waited)
-        if status != "refused":
-            self._h_latency.observe(latency)
-            if item.interval is not None and not item.request.is_edit:
-                # Feed the live coverage-drift monitor: every completed
-                # response whose interval was stamped at admission — the
-                # same population verify_replay scores offline.
-                self._admission.record_outcome(item.interval, latency)
-        deadline = item.request.deadline_s
+        request = item.request
+        totals = self._totals
+        n_views = len(self._analyzer.views)
+        latency = waited = 0.0
+        if verdict == "admit":
+            latency = max(0.0, now - item.enqueued)
+            waited = max(0.0, queue_wait)
+            self._h_queue_wait.observe(waited)
+            self._queue_waits.append(waited)
+            if status != "refused":
+                self._h_latency.observe(latency)
+                self._latencies.append(latency)
+            self._admission.record_finished(
+                request, n_views, latency, status, computed, item.interval
+            )
+        deadline = request.deadline_s
         missed = deadline is not None and latency > deadline
         if deadline is not None:
-            self._deadlined += 1
+            totals.deadlined += 1
             if missed:
-                self._deadline_misses += 1
+                totals.deadline_misses += 1
                 # The split the overload lanes record: a queue miss was
                 # decided before any work started (shed, or expired at
                 # serve start); a computing miss finished an answer late.
                 if computed:
-                    self._missed_computing += 1
+                    totals.missed_computing += 1
                 else:
-                    self._missed_in_queue += 1
-        self._queue_waits.append(waited)
-        if status == "refused":
-            self._refused += 1
+                    totals.missed_in_queue += 1
+        unmeetable = verdict == "refuse_unmeetable"
+        if status != "refused":
+            totals.served += 1
         else:
-            self._served += 1
-            self._latencies.append(latency)
-        if not item.request.is_edit:
-            # Feed the service-time calibrator (both admission modes — a
-            # later conformal service starts warm, and metrics always show
-            # the calibration state).  Completed answers are exact samples;
-            # timing refusals (shed, expired or below-floor at dispatch —
-            # ``computed=False``) are *censored*: the elapsed time at
-            # refusal lower-bounds the completion time nobody waited for.
-            # That is the survivorship fix — without it the model would
-            # train only on requests that made it.  Tagged censored, the
-            # samples stay out of the p50/p95 serving percentiles above.
-            if status != "refused":
-                self._admission.observe(
-                    item.request.kind,
-                    item.request.deadline_s,
-                    len(self._analyzer.views),
-                    latency,
-                    censored=False,
-                )
-            elif not computed:
-                self._admission.observe(
-                    item.request.kind,
-                    item.request.deadline_s,
-                    len(self._analyzer.views),
-                    latency,
-                    censored=True,
-                )
+            totals.refused += 1
+            if shed:
+                totals.shed += 1
+            if unmeetable:
+                totals.admission_refused += 1
         confidence: Optional[float] = None
-        if status == "partial" and self._admission_mode == "conformal":
-            # A truncated search proved nothing; the calibrator quantifies
-            # whether the *deadline* (not the question) was the problem.
+        if self._admission_mode == "conformal" and (status == "partial" or unmeetable):
+            # A truncated search or a gate refusal proved nothing about the
+            # question; the calibrator quantifies whether the *deadline*
+            # was the problem.
             confidence = self._admission.confidence_unmeetable(
-                item.request.kind,
-                item.request.deadline_s,
-                len(self._analyzer.views),
+                request.kind, deadline, n_views
             )
-            if confidence is not None:
-                self._confidence_attached += 1
+            if confidence is not None and status == "partial":
+                totals.confidence_attached += 1
         slo_violated = False
         if self._slo is not None:
             # One SLO fold per finished request, stamped with the same
@@ -1293,35 +1232,34 @@ class CatalogService:
                 error = "miss"
             else:
                 error = ""
-            slo_violated = self._slo.observe(
-                now, item.request.kind, latency, error
-            )
+            slo_violated = self._slo.observe(now, request.kind, latency, error)
         if item.trace is not None:
-            self._emit_spans(item, now, status, tier, shed, missed, slo_violated)
+            self._emit_spans(item, now, status, tier, shed, missed, slo_violated, verdict)
         interval = item.interval
-        self._resolve(
-            item,
-            ServiceResponse(
-                kind=item.request.kind,
-                status=status,
-                answer=answer,
-                reason=reason,
-                version=self._version if version is None else version,
-                tier=tier,
-                waited_s=waited,
-                latency_s=latency,
-                deadline_missed=missed,
-                shed=shed,
-                predicted_lo_s=interval.lo_s if interval is not None else None,
-                predicted_hi_s=(
-                    None
-                    if interval is None or math.isinf(interval.hi_s)
-                    else interval.hi_s
-                ),
-                confidence=confidence,
-                trace_id=item.trace.tid if item.trace is not None else None,
+        response = ServiceResponse(
+            kind=request.kind,
+            status=status,
+            answer=answer,
+            reason=reason,
+            version=self._version if version is None else version,
+            tier=tier,
+            waited_s=waited,
+            latency_s=latency,
+            deadline_missed=missed,
+            shed=shed,
+            unmeetable=unmeetable,
+            predicted_lo_s=interval.lo_s if interval is not None else None,
+            predicted_hi_s=(
+                None
+                if interval is None or math.isinf(interval.hi_s)
+                else interval.hi_s
             ),
+            confidence=confidence,
+            trace_id=item.trace.tid if item.trace is not None else None,
         )
+        if not item.future.done():
+            item.future.set_result(response)
+        return response
 
     def _emit_spans(
         self,
@@ -1332,15 +1270,18 @@ class CatalogService:
         shed: bool,
         missed: bool,
         slo_violated: bool,
+        verdict: str,
     ) -> None:
         """Record the request's stage spans from its boundary marks.
 
         Consecutive marks share their boundary stamp, so the emitted
         spans tile ``[item.enqueued, now]`` — exactly the interval the
-        response reports as ``latency_s``.  A ``None`` mark means the
-        request never reached that boundary (shed in the queue, refused
-        at serve entry, edit failed before the diff): the last stage it
-        did reach is extended to ``now`` and the chain stops there.
+        response reports as ``latency_s`` (a request refused at
+        submission reports 0 and records its one admission span).  A
+        ``None`` mark means the request never reached that boundary
+        (refused at submission, shed in the queue, refused at serve
+        entry, edit failed before the diff): the last stage it did reach
+        is extended to ``now`` and the chain stops there.
 
         When a tail sampler is attached the keep/drop decision happens
         here — spans are emitted at completion, when the outcome is
@@ -1361,9 +1302,11 @@ class CatalogService:
             tid,
             STAGE_ADMISSION,
             item.enqueued,
-            marks.admitted,
-            {"verdict": "admit", "kind": item.request.kind},
+            now if marks.admitted is None else marks.admitted,
+            {"verdict": verdict, "kind": item.request.kind},
         )
+        if marks.admitted is None:
+            return
         if marks.dispatched is None:
             record(
                 tid,
@@ -1477,9 +1420,9 @@ class CatalogService:
                 item.trace.journal_done = self._clock()
         self._analyzer = derived
         self._version = new_version
-        self._edits += 1
-        self._reuse_reused += reused
-        self._reuse_needed += needed
+        self._totals.edits += 1
+        self._totals.reuse_reused += reused
+        self._totals.reuse_needed += needed
         if self._history is not None:
             self._history[self._version] = derived.views
             evict_versions(self._history, self._version, self._history_window)
@@ -1497,7 +1440,7 @@ class CatalogService:
             )
         push_elapsed = max(0.0, self._clock() - push_started)
         self._push_latencies.append(push_elapsed)
-        self._push_total_s += push_elapsed
+        self._totals.push_total_s += push_elapsed
         self._h_push.observe(push_elapsed)
         self._finish(
             item,
@@ -1593,45 +1536,35 @@ class CatalogService:
                     # Best-effort, but never invisible: a prefetch that dies
                     # on every edit would otherwise be indistinguishable
                     # from warming working (REPRO-SWALLOW's point).
-                    self._warm_errors += 1
+                    self._totals.warm_errors += 1
                     continue
-                self._warm_prefetches += 1
+                self._totals.warm_prefetches += 1
                 self._warmed[name] = version
 
     # ------------------------------------------------------------ read path
     async def _serve(self, item: _WorkItem, order_key) -> None:
         request = item.request
-        now = self._clock()
-        waited = now - item.enqueued
+        waited = self._clock() - item.enqueued
         # The budget tier is chosen from the *remaining* deadline here at
         # dispatch — queue wait has already been charged against it — never
         # from the full deadline the request was submitted with.
         remaining: Optional[float] = None
         if request.deadline_s is not None:
             remaining = request.deadline_s - waited
-            if remaining <= 0:
-                self._finish(
-                    item,
-                    status="refused",
-                    reason=(
-                        f"deadline of {request.deadline_s:.3f}s expired after "
-                        f"{waited:.3f}s in the queue"
-                    ),
-                    queue_wait=waited,
-                    computed=False,
-                )
-                return
         tier, limits = self._policy.limits_for(remaining, self._limits)
-        if tier == TIER_REFUSE:
-            self._finish(
-                item,
-                status="refused",
-                reason=(
+        if tier == TIER_REFUSE or (remaining is not None and remaining <= 0):
+            if remaining <= 0:
+                reason = (
+                    f"deadline of {request.deadline_s:.3f}s expired after "
+                    f"{waited:.3f}s in the queue"
+                )
+            else:
+                reason = (
                     f"remaining deadline {remaining:.4f}s is below the service "
                     f"floor of {self._policy.floor_s:.4f}s"
-                ),
-                queue_wait=waited,
-                computed=False,
+                )
+            self._finish(
+                item, status="refused", reason=reason, queue_wait=waited, computed=False
             )
             return
         # Snapshot the analyzer/version pair atomically (single-threaded
@@ -1642,7 +1575,7 @@ class CatalogService:
             request.kind == "view_report"
             and self._warmed.get(request.subject) == version
         ):
-            self._warm_hits += 1
+            self._totals.warm_hits += 1
         marks = item.trace
         if marks is None:
             job = lambda: self._answer(analyzer, request, tier, limits)  # noqa: E731
@@ -1658,24 +1591,14 @@ class CatalogService:
             status, answer, reason = await asyncio.wrap_future(
                 self._pool.submit(order_key, job)
             )
-        except ReproError as error:
-            self._finish(
-                item,
-                status="refused",
-                reason=str(error),
-                version=version,
-                queue_wait=waited,
-            )
-            return
         except Exception as error:  # noqa: BLE001 — never leave a caller hanging
-            self._finish(
-                item,
-                status="refused",
-                reason=f"internal error: {type(error).__name__}: {error}",
-                version=version,
-                queue_wait=waited,
-            )
-            return
+            # An engine error (unknown view, bad query) is refused with its
+            # own message; anything else is reported as internal.
+            status, answer, tier = "refused", None, TIER_BASE
+            if isinstance(error, ReproError):
+                reason = str(error)
+            else:
+                reason = f"internal error: {type(error).__name__}: {error}"
         self._finish(
             item,
             status=status,

@@ -1,8 +1,8 @@
 """Synthetic workload generators for tests, examples and benchmarks.
 
-The paper evaluates nothing empirically, so every experiment in
-``EXPERIMENTS.md`` runs on synthetic inputs produced here.  All generators
-are driven by an explicit :class:`random.Random` seed so benchmark series are
+The paper evaluates nothing empirically, so the tests, examples and
+benchmarks run on synthetic inputs produced here.  All generators are driven
+by an explicit :class:`random.Random` seed so benchmark series are
 reproducible.
 """
 

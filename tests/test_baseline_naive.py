@@ -72,6 +72,25 @@ class TestNaiveDecision:
         generators = [parse_expression(text, q_schema) for text in generator_texts]
         assert naive_closure_contains(generators, goal) == closure_contains(generators, goal)
 
+    @pytest.mark.parametrize(
+        "goal_text,expected",
+        [
+            ("pi{A,B}(q) & pi{B,C}(q) & pi{A,B}(q)", True),
+            ("pi{A,B}(q) & pi{B,C}(q) & pi{A,C}(q)", False),
+        ],
+    )
+    def test_both_engines_decide_three_tuple_goals(self, q_schema, goal_text, expected):
+        # Over the Example 3.1.5 split view: a repeated member rebuilds,
+        # the triangle join is out of reach of the two projections.
+        goal = parse_expression(goal_text, q_schema)
+        generators = [
+            parse_expression("pi{A,B}(q)", q_schema),
+            parse_expression("pi{B,C}(q)", q_schema),
+        ]
+        limits = NaiveSearchLimits(max_templates=500_000)
+        assert closure_contains(generators, goal) is expected
+        assert naive_closure_contains(generators, goal, limits) is expected
+
     def test_agrees_on_two_relation_schema(self, rs_schema):
         cases = [
             ("pi{A,C}(R & S)", ["pi{A,B}(R)", "pi{B,C}(S)"]),

@@ -13,8 +13,10 @@ from repro.views import (
     nonredundant_size_bound,
     redundancy_report,
     remove_redundancy,
+    simplify_view,
     views_equivalent,
 )
+from repro.workloads import SchemaSpec, random_schema, random_view, redundant_view
 
 
 @pytest.fixture
@@ -132,3 +134,26 @@ class TestViews:
         assert report.is_nonredundant
         assert report.redundant_names == ()
         assert report.nonredundant_size == len(split_view)
+
+
+class TestRandomViews:
+    @pytest.mark.parametrize("extra", [0, 1, 2])
+    def test_remove_redundancy_on_padded_views(self, extra):
+        # Theorem 3.1.4 on views padded with derivable members.
+        schema = random_schema(SchemaSpec(relations=3, arity=2, universe_size=4), seed=5)
+        base = random_view(schema, members=2, atoms_per_query=2, seed=31)
+        padded = redundant_view(base, extra_members=extra, seed=32) if extra else base
+        slim = remove_redundancy(padded)
+        assert is_nonredundant_view(slim)
+        assert views_equivalent(slim, padded)
+        assert len(slim) <= len(padded)
+        assert is_nonredundant_view(padded) is (extra == 0)
+
+    @pytest.mark.parametrize("atoms", [1, 2, 3])
+    def test_size_bound_dominates_simplified_and_nonredundant(self, atoms):
+        # Lemma 3.1.6 and Theorem 4.2.3: a nonredundant equivalent is no
+        # larger than the simplified view, which stays within the bound.
+        schema = random_schema(SchemaSpec(relations=3, arity=2, universe_size=4), seed=9)
+        view = random_view(schema, members=2, atoms_per_query=atoms, seed=atoms + 70)
+        slim, simplified = remove_redundancy(view), simplify_view(view)
+        assert len(slim) <= len(simplified) <= nonredundant_size_bound(view)

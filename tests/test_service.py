@@ -338,6 +338,30 @@ class TestQueueBehaviour:
         # Everything admitted was answered exactly.
         assert all(r.ok for r in responses if r.status != "refused")
 
+    def test_queue_full_refusals_count_as_deadlined(self, small_catalog, q_schema):
+        # ``deadlined`` counts every request that carried a deadline; a
+        # backpressure refusal still is one, but it is never a miss.
+        async def main():
+            async with CatalogService(small_catalog, queue_limit=2) as service:
+                tasks = [
+                    asyncio.get_running_loop().create_task(
+                        service.membership(
+                            "Split",
+                            parse_expression(f"pi{{{attrs}}}(q)", q_schema),
+                            deadline_s=30.0,
+                        )
+                    )
+                    for attrs in ("A", "B", "C", "A,B", "B,C", "A,C", "A,B,C")
+                ]
+                responses = await asyncio.gather(*tasks)
+                return responses, service.metrics()
+
+        responses, metrics = run(main())
+        full = [r for r in responses if "queue full" in r.reason]
+        assert full and not any(r.deadline_missed for r in full)
+        assert metrics.deadlined == len(responses)
+        assert metrics.deadline_misses == 0
+
     def test_different_deadlines_do_not_coalesce(self, small_catalog, q_schema):
         # An unbounded duplicate must not inherit a tiny-deadline twin's
         # refusal (nor a deadlined one silently escape enforcement).

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.relalg import parse_expression
-from repro.relational import RelationName
+from repro.relational import DatabaseSchema, RelationName
 from repro.views import (
     View,
     is_nonredundant_view,
@@ -156,3 +156,18 @@ class TestSection41Example:
         simplified = simplify_view(example.view)
         for definition in simplified.definitions:
             assert projection_of_original(definition.query, [example.s, example.t]) is not None
+
+
+class TestSingleMemberViews:
+    @pytest.mark.parametrize("text", ["pi{A,B}(R)", "pi{A,B,C}(R & S)", "R & S & T"])
+    def test_wider_members_simplify_to_equivalent_views(self, text):
+        # Theorem 4.1.3 as the target scheme widens from two to four
+        # attributes over the chain R(A,B), S(B,C), T(C,D).
+        schema = DatabaseSchema(
+            [RelationName("R", "AB"), RelationName("S", "BC"), RelationName("T", "CD")]
+        )
+        query = parse_expression(text, schema)
+        view = View([(query, RelationName("V", query.target_scheme))], schema)
+        simplified = simplify_view(view)
+        assert is_simplified_view(simplified)
+        assert views_equivalent(simplified, view)

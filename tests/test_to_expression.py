@@ -12,6 +12,7 @@ from repro.templates.homomorphism import templates_equivalent
 from repro.templates.tagged_tuple import TaggedTuple
 from repro.templates.template import Template
 from repro.templates.to_expression import expression_from_template, is_expression_template
+from repro.workloads import SchemaSpec, random_expression, random_schema
 
 ROUND_TRIP_EXPRESSIONS = [
     "R",
@@ -38,6 +39,18 @@ class TestRoundTrip:
     @pytest.mark.parametrize("text", ROUND_TRIP_EXPRESSIONS)
     def test_is_expression_template_true(self, rs_schema, text):
         template = template_from_expression(parse_expression(text, rs_schema))
+        assert is_expression_template(template)
+
+    @pytest.mark.parametrize("atoms", [2, 4, 8])
+    def test_random_project_join_expressions_are_recognised(self, atoms):
+        # Algorithm 2.1.1 yields at most one row per atom, and every
+        # template it yields is an expression template (Proposition 2.4.6).
+        schema = random_schema(SchemaSpec(relations=4, arity=2, universe_size=5), seed=0)
+        expression = random_expression(
+            schema, atoms=atoms, projection_probability=0.5, seed=atoms + 7
+        )
+        template = template_from_expression(expression)
+        assert len(template) <= atoms
         assert is_expression_template(template)
 
     def test_branch_internal_projection_orphan_component(self, rs_schema, triangle_schema):

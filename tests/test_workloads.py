@@ -108,6 +108,17 @@ class TestRandomViews:
 
         assert dominates(base, perturbed).holds
 
+    @pytest.mark.parametrize("members", [1, 2])
+    def test_pairs_decide_equivalent_and_perturbations_do_not(self, members):
+        schema = random_schema(SchemaSpec(relations=3, arity=2, universe_size=4), seed=17)
+        first, second = equivalent_view_pair(
+            schema, members=members, atoms_per_query=2, seed=members
+        )
+        assert views_equivalent(first, second)
+        base = random_view(schema, members=members, atoms_per_query=2, seed=members + 40)
+        weakened = perturbed_view(base, seed=members + 41)
+        assert views_equivalent(base, weakened) is (weakened == base)
+
     def test_workloads_deterministic(self):
         schema = random_schema(SchemaSpec(relations=3), seed=2)
         assert random_view(schema, members=2, seed=11) == random_view(schema, members=2, seed=11)
