@@ -271,6 +271,11 @@ class CatalogAnalyzer:
 
         return dict(self._views)
 
+    def __len__(self) -> int:
+        """The number of views in the catalog (no copy of the view dict)."""
+
+        return len(self._views)
+
     @property
     def limits(self) -> SearchLimits:
         """The shared search limits every batched decision honours."""
@@ -451,12 +456,7 @@ class CatalogAnalyzer:
     def equivalence_classes(self) -> PyTuple[PyTuple[str, ...], ...]:
         """Maximal groups of mutually dominant (capacity-equal) views."""
 
-        return self._equivalence_classes(self.dominance_matrix())
-
-    def _equivalence_classes(
-        self, matrix: Dict[Pair, bool]
-    ) -> PyTuple[PyTuple[str, ...], ...]:
-        return classes_from_matrix(self._views, matrix)
+        return classes_from_matrix(self._views, self.dominance_matrix())
 
     def nonredundant_core(self) -> PyTuple[str, ...]:
         """A minimal dominating subset of the catalog (redundancy elimination).
@@ -468,10 +468,7 @@ class CatalogAnalyzer:
         is deterministic.
         """
 
-        return self._nonredundant_core(self.dominance_matrix())
-
-    def _nonredundant_core(self, matrix: Dict[Pair, bool]) -> PyTuple[str, ...]:
-        return core_from_matrix(self._views, matrix)
+        return core_from_matrix(self._views, self.dominance_matrix())
 
     def view_reports(self) -> Dict[str, ViewAnalysisReport]:
         """Full per-view reports, each through the shared capacity/limits."""
@@ -481,18 +478,20 @@ class CatalogAnalyzer:
     def analyze(self, include_view_reports: bool = False) -> CatalogReport:
         """Run the batched analysis and return a :class:`CatalogReport`."""
 
-        representative = self._ensure_decided()
-        heads = set(representative.values())
-        matrix = self._broadcast_matrix(representative)
+        snapshot = self.snapshot()
+        signature_classes = self.signature_classes()
+        # One representative per signature class, so C classes decide
+        # C*(C-1) ordered pairs and broadcast the rest of the matrix.
+        decided = len(signature_classes) * (len(signature_classes) - 1)
         n = len(self._views)
         return CatalogReport(
-            names=self.names,
-            dominance=matrix,
-            equivalence_classes=self._equivalence_classes(matrix),
-            nonredundant_core=self._nonredundant_core(matrix),
-            signature_classes=self.signature_classes(),
-            decided_pairs=len(heads) * (len(heads) - 1),
-            broadcast_pairs=n * (n - 1) - len(heads) * (len(heads) - 1),
+            names=snapshot.names,
+            dominance=snapshot.dominance,
+            equivalence_classes=snapshot.equivalence_classes,
+            nonredundant_core=snapshot.nonredundant_core,
+            signature_classes=signature_classes,
+            decided_pairs=decided,
+            broadcast_pairs=n * (n - 1) - decided,
             view_reports=self.view_reports() if include_view_reports else None,
         )
 
@@ -500,17 +499,19 @@ class CatalogAnalyzer:
     def snapshot(self, version: int = 0) -> CatalogSnapshot:
         """The full derived state at ``version``: core, classes, matrix.
 
-        The base state a delta fold starts from and the payload a
-        subscription *resync* carries (:mod:`repro.engine.delta`).
-        Materialises the dominance matrix if it is not already decided.
+        The base state a delta fold starts from, the payload a subscription
+        *resync* carries and each side of a :meth:`diff`
+        (:mod:`repro.engine.delta`); :meth:`analyze` reports from it too.
+        Decides any representative pair still missing, then builds the
+        matrix once and derives the core and classes from that one build.
         """
 
-        matrix = self.dominance_matrix()
+        matrix = self._broadcast_matrix(self._ensure_decided())
         return CatalogSnapshot(
             version=version,
             names=self.names,
-            nonredundant_core=self._nonredundant_core(matrix),
-            equivalence_classes=self._equivalence_classes(matrix),
+            nonredundant_core=core_from_matrix(self._views, matrix),
+            equivalence_classes=classes_from_matrix(self._views, matrix),
             dominance=matrix,
         )
 
@@ -519,13 +520,11 @@ class CatalogAnalyzer:
 
         The changed-set accounting behind the service's subscription pushes:
         views added/dropped/replaced, core membership changes, equivalence
-        classes formed/dissolved, dominance edges set/removed/flipped, plus
-        this analyzer's :meth:`decision_reuse` numbers.  Both matrices are
-        materialised by the comparison; when this analyzer was derived from
-        ``previous`` via :meth:`with_view`/:meth:`without_view` and
-        ``previous`` is already warm — the edit-stream steady state — the
-        diff costs set differences only, no new pair decisions beyond what
-        the incremental derivation already paid.
+        classes formed/dissolved, dominance edges set/removed/flipped.  It
+        diffs one :meth:`snapshot` of each analyzer, so it decides whatever
+        representative pairs either side still lacks; when both are already
+        decided — the service decides them before it diffs — the cost is one
+        matrix build per side plus set differences.
         """
 
         return compute_delta(previous, self, version=version)

@@ -21,10 +21,12 @@ that changed set:
   the catch-up payload a reconnecting subscriber folds instead of replaying
   every intermediate version.
 
-The delta computer never decides a dominance pair of its own: it compares
-the two analyzers' *already materialised* matrices — the incremental edit
-paid for every new decision, so a delta costs set differences only
-(:meth:`CatalogAnalyzer.diff` documents the warm-matrix contract).
+The delta computer diffs one :class:`CatalogSnapshot` per analyzer: every
+field is a set difference between the two.  Taking a snapshot decides
+any representative pair its analyzer still lacks, so a diff over two
+analyzers whose pairs are already decided — the service decides them
+before it diffs — costs one matrix build per side plus the set
+differences (:meth:`CatalogAnalyzer.diff`).
 
 Topic names double as the subscription vocabulary of
 :mod:`repro.service.subscriptions`: a delta *matches* a topic when the
@@ -217,9 +219,9 @@ class CatalogDelta:
     dissolved old classes plus formed new ones); ``edges_set`` maps every
     ordered pair whose dominance verdict is new or changed to its new value,
     and ``edges_removed`` lists the pairs that left the matrix with a
-    dropped view.  ``decisions_reused``/``decisions_needed`` carry the
-    edit's incremental accounting
-    (:meth:`repro.engine.CatalogAnalyzer.decision_reuse`).
+    dropped view.  An edit's decision reuse is not part of the delta: the
+    service reports it in the edit's own response, read before the edit
+    decides any new pair.
 
     Folding the delta over the previous version's state with
     :func:`fold_core` / :func:`fold_classes` / :func:`fold_matrix`
@@ -236,8 +238,6 @@ class CatalogDelta:
     classes_dissolved: PyTuple[PyTuple[str, ...], ...] = ()
     edges_set: Mapping[Pair, bool] = field(default_factory=dict)
     edges_removed: PyTuple[Pair, ...] = ()
-    decisions_reused: int = 0
-    decisions_needed: int = 0
 
     def topics(self) -> FrozenSet[str]:
         """Every subscription topic this delta is relevant to."""
@@ -277,8 +277,6 @@ class CatalogDelta:
                 for (a, b), holds in sorted(self.edges_set.items())
             },
             "edges_removed": [f"{a}->{b}" for a, b in self.edges_removed],
-            "decisions_reused": self.decisions_reused,
-            "decisions_needed": self.decisions_needed,
         }
 
     @classmethod
@@ -288,7 +286,10 @@ class CatalogDelta:
         Pair keys come back from their ``"a->b"`` rendering (view names are
         identifiers, so ``->`` can never occur inside one); folding the
         reconstructed delta is indistinguishable from folding the original,
-        which is what makes a JSONL journal a faithful delta log.
+        which is what makes a JSONL journal a faithful delta log.  Keys
+        outside the delta's fields are ignored, so records that still carry
+        the retired ``decisions_reused``/``decisions_needed`` counts decode
+        to the same delta.
         """
 
         def pair(text: str) -> Pair:
@@ -309,8 +310,6 @@ class CatalogDelta:
                 for key, holds in data["edges_set"].items()
             },
             edges_removed=tuple(pair(key) for key in data["edges_removed"]),
-            decisions_reused=int(data["decisions_reused"]),
-            decisions_needed=int(data["decisions_needed"]),
         )
 
 
@@ -318,27 +317,27 @@ def compute_delta(previous, current, version: int = 0) -> CatalogDelta:
     """The :class:`CatalogDelta` taking ``previous`` to ``current``.
 
     Both arguments are :class:`~repro.engine.CatalogAnalyzer`-shaped (the
-    duck type needs ``views``, ``names``, ``dominance_matrix()``,
-    ``equivalence_classes()``, ``nonredundant_core()`` and
-    ``decision_reuse()``).  The comparison materialises both dominance
-    matrices; when ``current`` was derived incrementally from ``previous``
-    and both are already warm — the edit-stream steady state — this costs
-    set differences only, no new pair decisions.
+    duck type needs ``snapshot()`` and ``view(name)``).  Each side's state
+    is read from one ``snapshot()``, and every field is a set difference
+    between the two snapshots; ``view(name)`` is asked only of the names
+    both sides share, to tell a replaced view from a kept one.
     """
 
-    prev_views = previous.views
-    cur_views = current.views
-    added = tuple(sorted(set(cur_views) - set(prev_views)))
-    dropped = tuple(sorted(set(prev_views) - set(cur_views)))
+    before = previous.snapshot()
+    after = current.snapshot()
+    prev_names = set(before.names)
+    cur_names = set(after.names)
+    added = tuple(sorted(cur_names - prev_names))
+    dropped = tuple(sorted(prev_names - cur_names))
     replaced = tuple(
         sorted(
             name
-            for name in set(cur_views) & set(prev_views)
-            if cur_views[name] != prev_views[name]
+            for name in cur_names & prev_names
+            if current.view(name) != previous.view(name)
         )
     )
-    prev_matrix = previous.dominance_matrix()
-    cur_matrix = current.dominance_matrix()
+    prev_matrix = before.dominance
+    cur_matrix = after.dominance
     edges_set = {
         pair: holds
         for pair, holds in cur_matrix.items()
@@ -347,11 +346,10 @@ def compute_delta(previous, current, version: int = 0) -> CatalogDelta:
     edges_removed = tuple(
         sorted(pair for pair in prev_matrix if pair not in cur_matrix)
     )
-    prev_core = set(previous.nonredundant_core())
-    cur_core = set(current.nonredundant_core())
-    prev_classes = set(previous.equivalence_classes())
-    cur_classes = set(current.equivalence_classes())
-    reused, needed = current.decision_reuse()
+    prev_core = set(before.nonredundant_core)
+    cur_core = set(after.nonredundant_core)
+    prev_classes = set(before.equivalence_classes)
+    cur_classes = set(after.equivalence_classes)
     return CatalogDelta(
         version=version,
         views_added=added,
@@ -367,8 +365,6 @@ def compute_delta(previous, current, version: int = 0) -> CatalogDelta:
         ),
         edges_set=edges_set,
         edges_removed=edges_removed,
-        decisions_reused=reused,
-        decisions_needed=needed,
     )
 
 
@@ -415,8 +411,7 @@ def coalesce_deltas(deltas: Sequence[CatalogDelta]) -> CatalogDelta:
     subscriber reconnecting several versions behind.  Field-wise the
     combination is the fold composition: later edge writes win, a core
     member that entered and left nets out, a class formed and dissolved
-    inside the window disappears.  ``decisions_reused``/``decisions_needed``
-    accumulate across the window (the aggregate incremental accounting).
+    inside the window disappears.
     """
 
     if not deltas:
@@ -430,8 +425,6 @@ def coalesce_deltas(deltas: Sequence[CatalogDelta]) -> CatalogDelta:
     dissolved: set = set()
     edges_set: Dict[Pair, bool] = {}
     edges_removed: set = set()
-    reused = 0
-    needed = 0
     for delta in deltas:
         for name in delta.views_dropped:
             if name in added:
@@ -476,8 +469,6 @@ def coalesce_deltas(deltas: Sequence[CatalogDelta]) -> CatalogDelta:
         for pair, holds in delta.edges_set.items():
             edges_set[pair] = holds
             edges_removed.discard(pair)
-        reused += delta.decisions_reused
-        needed += delta.decisions_needed
     return CatalogDelta(
         version=deltas[-1].version,
         views_added=tuple(sorted(added)),
@@ -489,6 +480,4 @@ def coalesce_deltas(deltas: Sequence[CatalogDelta]) -> CatalogDelta:
         classes_dissolved=tuple(sorted(dissolved, key=lambda m: m[0])),
         edges_set=edges_set,
         edges_removed=tuple(sorted(edges_removed)),
-        decisions_reused=reused,
-        decisions_needed=needed,
     )

@@ -22,12 +22,14 @@ Design:
   :mod:`repro.service.scheduler`).
 * **Reads fan out, edits serialize.**  Read requests are handed to a
   thread-pool executor (``jobs`` workers) over the engine's lock-guarded
-  memo tables and run concurrently; edit requests are applied *inline* by
-  the dispatcher — one at a time, never overlapping another edit — and swap
-  the service's analyzer for the incrementally derived one.  Reads already
-  in flight keep the analyzer object they captured, so they answer
-  consistently against the version they started on; the response carries
-  that version.
+  memo tables and run concurrently; edit requests are applied by the
+  dispatcher itself — one at a time, never overlapping another edit — and
+  swap the service's analyzer for the incrementally derived one.  An edit's
+  engine work (derive, count reuse, decide both versions' pairs) is one
+  executor job; the diff follows on the dispatcher, and a failure in either
+  refuses the edit with the catalog unchanged.  Reads already in flight
+  keep the analyzer object they captured, so they answer consistently
+  against the version they started on; the response carries that version.
 * **Coalescing.**  Duplicate in-flight questions (same kind, same
   arguments, same catalog version) share one pending answer instead of
   enqueueing again.
@@ -42,15 +44,17 @@ Design:
   budget.
 * **Reuse accounting.**  Every edit records how many representative
   dominance decisions the derived analyzer inherited versus how many its
-  matrix needed (:meth:`CatalogAnalyzer.decision_reuse`); the running ratio
-  is the edit stream's decision-reuse rate, surfaced in :meth:`metrics`
-  next to the memo-table hit rates.
+  matrix needed (:meth:`CatalogAnalyzer.decision_reuse`, read before the
+  edit decides any new pair); the edit response carries the two counts,
+  and the running ratio is the edit stream's decision-reuse rate, surfaced
+  in :meth:`metrics` next to the memo-table hit rates.
 * **Subscriptions push, polls retire.**  :meth:`CatalogService.subscribe`
   registers a topic subscriber with the service's
   :class:`~repro.service.subscriptions.SubscriptionHub`; after each
-  committed edit the dispatcher computes the engine-level changed set
-  (:meth:`CatalogAnalyzer.diff` — set differences over the matrices the
-  edit already materialised) and pushes a versioned
+  edit the dispatcher computes the engine-level changed set before commit
+  (:meth:`CatalogAnalyzer.diff` — set differences between one snapshot of
+  each version, both already decided by the edit's engine job), journals
+  it, commits, and pushes the versioned
   :class:`~repro.engine.CatalogDelta` to every matching subscriber.  Slow
   subscribers are resynced with a fresh snapshot, never silently dropped;
   reconnects catch up from the retained delta log
@@ -632,7 +636,7 @@ class CatalogService:
             and request.deadline_s is not None
         ):
             decision = self._admission.decide(
-                request.kind, request.deadline_s, len(self._analyzer.views)
+                request.kind, request.deadline_s, len(self._analyzer)
             )
             if not decision.admit:
                 item.interval = decision.interval
@@ -1173,7 +1177,7 @@ class CatalogService:
         now = self._clock()
         request = item.request
         totals = self._totals
-        n_views = len(self._analyzer.views)
+        n_views = len(self._analyzer)
         latency = waited = 0.0
         if verdict == "admit":
             latency = max(0.0, now - item.enqueued)
@@ -1280,8 +1284,8 @@ class CatalogService:
         submission reports 0 and records its one admission span).  A
         ``None`` mark means the request never reached that boundary
         (refused at submission, shed in the queue, refused at serve
-        entry, edit failed before the diff): the last stage it did reach
-        is extended to ``now`` and the chain stops there.
+        entry, edit refused by its engine job or diff): the last stage it
+        did reach is extended to ``now`` and the chain stops there.
 
         When a tail sampler is attached the keep/drop decision happens
         here — spans are emitted at completion, when the outcome is
@@ -1348,32 +1352,36 @@ class CatalogService:
         # Queue wait ends here, at dispatch — without this the edit's whole
         # compute time would be recorded as "queue wait" in the percentiles.
         waited = max(0.0, self._clock() - item.enqueued)
-        try:
+        new_version = self._version + 1
+
+        def engine_job():
             if request.kind == "add_view":
-                derived = await loop.run_in_executor(
-                    self._executor,
-                    lambda: previous.with_view(request.subject, request.view),
-                )
+                derived = previous.with_view(request.subject, request.view)
             else:
-                derived = await loop.run_in_executor(
-                    self._executor, lambda: previous.without_view(request.subject)
-                )
-            reused, needed = derived.decision_reuse()
+                derived = previous.without_view(request.subject)
+            # Read before any new pair is decided: what the derivation
+            # inherited against what the new matrix needs.
+            reuse = derived.decision_reuse()
+            # Decide both versions' pairs here, off the event loop, so the
+            # diff below decides nothing and reads of the new version start
+            # warm.  `previous` is already decided except at the first edit
+            # of a never-read catalog.
+            derived.dominance_matrix()
+            previous.dominance_matrix()
+            return derived, reuse
 
-            # Materialise the matrix eagerly so the edit pays the decision
-            # delta itself and subsequent reads stay warm.  The previous
-            # version's matrix is materialised too (warm no-op except at the
-            # very first edit of a never-read catalog) so the subscription
-            # diff below never decides pairs on the event-loop thread.
-            def materialise():
-                derived.dominance_matrix()
-                previous.dominance_matrix()
-
-            await loop.run_in_executor(self._executor, materialise)
+        # A failure in the engine job or the diff refuses the edit and leaves
+        # the catalog exactly as it was (no version bump, nothing journaled
+        # or pushed); the dispatcher survives it.  The delta is computed
+        # before commit so the journal can record it ahead of publication —
+        # the journal is never behind a subscriber.
+        try:
+            derived, (reused, needed) = await loop.run_in_executor(
+                self._executor, engine_job
+            )
+            push_started = self._clock()
+            delta = derived.diff(previous, version=new_version)
         except Exception as error:  # noqa: BLE001 — the dispatcher must survive
-            # Any escape here would kill the dispatcher and hang every
-            # pending submitter, so *all* failures resolve the future; the
-            # catalog is left exactly as it was (no version bump).
             self._finish(
                 item,
                 status="refused",
@@ -1381,25 +1389,9 @@ class CatalogService:
                 queue_wait=waited,
             )
             return
-        # The changed set is computed *before* commit so the journal can
-        # record it ahead of publication — the journal is never behind a
-        # subscriber.  The edit just materialised the derived matrix and
-        # `previous` was materialised at the prior version (or by the first
-        # delta), so the diff costs set differences only.  A delta failure
-        # must not kill the dispatcher or silently skip a version:
-        # subscribers are force-resynced and the journal re-anchors on a
-        # snapshot record instead.
-        new_version = self._version + 1
-        push_started = self._clock()
-        delta: Optional[CatalogDelta] = None
-        delta_error: Optional[BaseException] = None
-        try:
-            delta = derived.diff(previous, version=new_version)
-        except Exception as error:  # noqa: BLE001 — the dispatcher must survive
-            delta_error = error
         if item.trace is not None:
-            # The edit's compute span (executor work + diff — both engine
-            # work) closes here; journal and publish tile after it.
+            # The edit's compute span (the engine job + diff) closes here;
+            # journal and publish tile after it.
             item.trace.diff_done = self._clock()
         if self._journal is not None:
             # The append (and per-record fsync) is file I/O: it runs on the
@@ -1427,14 +1419,15 @@ class CatalogService:
             self._history[self._version] = derived.views
             evict_versions(self._history, self._version, self._history_window)
         try:
-            if delta is None:
-                raise delta_error  # type: ignore[misc]
             self._hub.publish(delta, self._snapshot)
         except Exception as error:  # noqa: BLE001 — the dispatcher must survive
+            # The edit is committed and journaled; a failed fan-out must not
+            # let a subscriber silently miss the version, so every
+            # subscriber re-anchors on a snapshot instead.
             self._hub.force_resync(
                 self._snapshot,
                 reason=(
-                    f"delta computation failed at version {self._version}: "
+                    f"delta publish failed at version {self._version}: "
                     f"{type(error).__name__}: {error}"
                 ),
             )
@@ -1458,8 +1451,8 @@ class CatalogService:
     def _checkpoint_payload(self, analyzer: CatalogAnalyzer, version: int):
         """The post-edit (catalog text, snapshot) pair a checkpoint records.
 
-        The matrix is already materialised by the edit, so the snapshot is
-        a table copy — safe on the event-loop thread.
+        The edit's engine job already decided every pair, so the snapshot
+        decides nothing: it is one matrix build.
         """
 
         return catalog_text(analyzer.views), analyzer.snapshot(version)
@@ -1469,32 +1462,26 @@ class CatalogService:
         request: ServiceRequest,
         derived: CatalogAnalyzer,
         version: int,
-        delta: Optional[CatalogDelta],
+        delta: CatalogDelta,
     ) -> None:
         """Journal one committed edit; degraded modes never block the edit.
 
         An injected :class:`SimulatedCrash` froze the journal mid-append —
         the file now ends exactly as a dead process would leave it, which
         is the fault harness's point — so the service absorbs it and keeps
-        serving with the journal marked crashed.  A delta that could not be
-        computed is covered by a snapshot record instead (same re-anchor
-        the hub's force_resync gives subscribers).
+        serving with the journal marked crashed.
         """
 
-        checkpoint_fn = lambda: self._checkpoint_payload(derived, version)  # noqa: E731
+        doc = (
+            view_text(request.subject, request.view)
+            if request.kind == "add_view"
+            else None
+        )
         try:
-            if delta is None:
-                self._journal.checkpoint(checkpoint_fn)
-            else:
-                doc = (
-                    view_text(request.subject, request.view)
-                    if request.kind == "add_view"
-                    else None
-                )
-                self._journal.record_edit(
-                    version, request.kind, request.subject, doc, delta,
-                    checkpoint_fn,
-                )
+            self._journal.record_edit(
+                version, request.kind, request.subject, doc, delta,
+                lambda: self._checkpoint_payload(derived, version),
+            )
         except SimulatedCrash:
             pass
 
@@ -1593,8 +1580,10 @@ class CatalogService:
             )
         except Exception as error:  # noqa: BLE001 — never leave a caller hanging
             # An engine error (unknown view, bad query) is refused with its
-            # own message; anything else is reported as internal.
-            status, answer, tier = "refused", None, TIER_BASE
+            # own message; anything else is reported as internal.  The
+            # response keeps the tier chosen above: the limits it was served
+            # under.
+            status, answer = "refused", None
             if isinstance(error, ReproError):
                 reason = str(error)
             else:

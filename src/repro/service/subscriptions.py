@@ -220,8 +220,9 @@ class Subscription:
         self.superseded = 0
         # Resyncs total plus one counter per cause: an overflow supersede
         # (the buffer filled), a catch-up past the retained window (the
-        # requested versions were evicted), or a forced re-anchor (delta
-        # computation failed).  The causes always sum to the total.
+        # requested versions were evicted), or a forced re-anchor (the
+        # service's publish of a committed delta failed).  The causes
+        # always sum to the total.
         self.resyncs = 0
         self.resyncs_overflow = 0
         self.resyncs_catchup = 0
@@ -540,11 +541,13 @@ class SubscriptionHub:
     def force_resync(
         self, snapshot_fn: Callable[[], CatalogSnapshot], reason: str
     ) -> None:
-        """Push a snapshot resync to every subscriber (delta computation failed).
+        """Push a snapshot resync to every subscriber (a publish failed).
 
-        The service's last-resort honesty path: if a delta cannot be
-        computed for a committed edit, subscribers must re-anchor rather
-        than silently miss a version.
+        The service's last-resort honesty path: if publishing a committed
+        edit's delta fails, subscribers must re-anchor rather than silently
+        miss a version.  A delta that cannot be computed never reaches this
+        path — the service computes it before commit and refuses the edit
+        when it fails.
         """
 
         snapshot: Optional[CatalogSnapshot] = None
@@ -591,7 +594,8 @@ class SubscriptionHub:
         Resyncs are reported per cause — ``resyncs_overflow`` (a full
         buffer superseded pending deltas), ``resyncs_catchup`` (a reconnect
         asked for versions past the retained window) and ``resyncs_forced``
-        (delta computation failed) — and the causes sum to ``resyncs``.
+        (publishing a committed delta failed) — and the causes sum to
+        ``resyncs``.
         """
 
         return {

@@ -29,7 +29,7 @@ import zlib
 import pytest
 
 from repro.cli import main
-from repro.engine import CatalogAnalyzer
+from repro.engine import CatalogAnalyzer, CatalogDelta
 from repro.exceptions import ReproError
 from repro.relalg import parse_expression
 from repro.relational import RelationName
@@ -283,6 +283,55 @@ class TestRecovery:
         # decision is already present before anything is recomputed.
         reused, needed = result.analyzer.decision_reuse()
         assert needed == 0 or reused == needed
+
+    def test_records_with_retired_reuse_keys_recover_identically(
+        self, tmp_path, base_catalog, extra_views
+    ):
+        # Delta records journaled while CatalogDelta still carried
+        # decisions_reused/decisions_needed hold those two keys too (the
+        # derived analyzer's decision_reuse() after the diff); they must
+        # decode to the same deltas and recover the same state.
+        path = str(tmp_path / "j.jsonl")
+        _, states = journal_chain(
+            path,
+            base_catalog,
+            [
+                ("add", "Y", extra_views[0]),
+                ("add", "Z", extra_views[1]),
+                ("drop", "Y", None),
+            ],
+            fsync="off",
+            snapshot_every=0,
+        )
+        legacy = str(tmp_path / "legacy.jsonl")
+        records = scan_journal(path).records
+        with open(legacy, "wb") as handle:
+            for record in records:
+                payload = dict(record.payload)
+                if record.type == "delta":
+                    reused, needed = states[record.version].decision_reuse()
+                    payload["delta"] = {
+                        **payload["delta"],
+                        "decisions_reused": reused,
+                        "decisions_needed": needed,
+                    }
+                body = json.dumps(
+                    payload, sort_keys=True, separators=(",", ":")
+                ).encode("utf-8")
+                crc = zlib.crc32(body) & 0xFFFFFFFF
+                handle.write(b"%d:%08x:" % (len(body), crc) + body + b"\n")
+        legacy_records = scan_journal(legacy).records
+        assert [r.type for r in legacy_records] == [r.type for r in records]
+        for old, new in zip(legacy_records, records):
+            if new.type == "delta":
+                assert "decisions_needed" in old.payload["delta"]
+                assert CatalogDelta.from_dict(
+                    old.payload["delta"]
+                ) == CatalogDelta.from_dict(new.payload["delta"])
+        result = recover_service(legacy)
+        assert_recovered_matches(result, states[-1], 3)
+        assert result.state == recover_service(path).state
+        assert result.verify() == []
 
     def test_recovery_anchors_on_latest_snapshot(
         self, tmp_path, base_catalog, extra_views

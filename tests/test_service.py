@@ -16,6 +16,7 @@ The contract under test, mirroring the service docs:
 from __future__ import annotations
 
 import asyncio
+from collections import Counter
 
 import pytest
 
@@ -121,6 +122,39 @@ class TestExactAnswers:
         assert "Nope" in response.reason
         assert response.answer is None
 
+    def test_reads_never_copy_the_view_dict(
+        self, small_catalog, q_schema, monkeypatch
+    ):
+        # The admission gate and the completion path need only the catalog
+        # size; CatalogAnalyzer.views copies the whole dict to give it.
+        copies = []
+        views = CatalogAnalyzer.views
+
+        def counted(self):
+            copies.append(self)
+            return views.fget(self)
+
+        monkeypatch.setattr(CatalogAnalyzer, "views", property(counted))
+
+        async def main():
+            async with CatalogService(small_catalog, admission="conformal") as service:
+                responses = []
+                for deadline in (None, 5.0):
+                    responses += [
+                        await service.membership(
+                            "Split",
+                            parse_expression("pi{A}(q)", q_schema),
+                            deadline_s=deadline,
+                        ),
+                        await service.dominance("Joined", "Weak", deadline_s=deadline),
+                        await service.nonredundant_core(deadline_s=deadline),
+                    ]
+                return responses
+
+        responses = run(main())
+        assert [r.status for r in responses] == ["ok"] * 6
+        assert copies == []
+
 
 class TestDeadlines:
     def test_expired_deadline_is_refused_not_wrong(self, small_catalog, q_schema):
@@ -163,6 +197,22 @@ class TestDeadlines:
         response = run(main())
         assert response.ok
         assert response.answer is True
+        assert response.tier == TIER_REDUCED
+
+    def test_refused_read_keeps_its_tier(self, small_catalog, q_schema):
+        # An engine error is refused under the tier the read was dispatched
+        # with: the response names the limits that served it.
+        policy = DeadlinePolicy(full_deadline_s=1.0, floor_s=0.1)
+
+        async def main():
+            async with CatalogService(small_catalog, policy=policy) as service:
+                return await service.membership(
+                    "Nope", parse_expression("pi{A}(q)", q_schema), deadline_s=0.5
+                )
+
+        response = run(main())
+        assert response.status == "refused"
+        assert "Nope" in response.reason
         assert response.tier == TIER_REDUCED
 
     def test_reduced_tier_cold_matrix_question_refused(self, small_catalog):
@@ -269,6 +319,41 @@ class TestEditStream:
         assert bad.status == "refused"
         assert version == 0  # the failed edit did not bump the version
         assert core.ok
+
+    def test_steady_state_edit_builds_the_matrix_four_times(
+        self, small_catalog, q_schema, monkeypatch
+    ):
+        # One edit: a representative scan for the reuse count, then a scan
+        # and a matrix build per version to decide both, and one of each
+        # per version for the diff's two snapshots.
+        extra = View(
+            [(parse_expression("pi{B}(q)", q_schema), RelationName("Z1", "B"))],
+            q_schema,
+        )
+        copy = small_catalog["Split"].renamed({"W1": "X1", "W2": "X2"})
+        calls = Counter()
+
+        def counted(name):
+            original = getattr(CatalogAnalyzer, name)
+
+            def wrapper(self, *args):
+                calls[name] += 1
+                return original(self, *args)
+
+            return wrapper
+
+        async def main():
+            async with CatalogService(small_catalog) as service:
+                await service.add_view("Extra", extra)  # both versions warm
+                for name in ("_broadcast_matrix", "_representatives"):
+                    monkeypatch.setattr(CatalogAnalyzer, name, counted(name))
+                response = await service.add_view("Zcopy", copy)
+                monkeypatch.undo()
+                return response
+
+        response = run(main())
+        assert response.ok and response.answer["version"] == 2
+        assert calls == {"_broadcast_matrix": 4, "_representatives": 5}
 
     def test_history_tracks_every_version(self, small_catalog, q_schema):
         extra = View(

@@ -42,9 +42,11 @@ from repro.service import (
     EVENT_DELTA,
     EVENT_RESYNC,
     CatalogService,
+    DeltaJournal,
     ServiceError,
     SubscriptionHub,
     run_traffic,
+    scan_journal,
     verify_subscriptions,
 )
 from repro.service.subscriptions import validate_topics
@@ -123,7 +125,6 @@ class TestEngineDelta:
         assert delta.edges_set
         assert all("Zextra" in pair for pair in delta.edges_set)
         assert delta.edges_removed == ()
-        assert delta.decisions_needed > 0
 
     def test_diff_on_drop_removes_edges(self, small_catalog):
         base = CatalogAnalyzer(small_catalog)
@@ -135,6 +136,33 @@ class TestEngineDelta:
         assert all("Weak" in pair for pair in delta.edges_removed)
         # Dominance among the surviving views did not change.
         assert delta.edges_set == {}
+
+    def test_diff_reads_one_snapshot_per_side(
+        self, small_catalog, weak_view, monkeypatch
+    ):
+        base = CatalogAnalyzer(small_catalog)
+        derived = base.with_view("Zextra", weak_view)
+        expected = derived.diff(base, version=1)
+        snapshotted = []
+        snapshot = CatalogAnalyzer.snapshot
+
+        def counted(self, version=0):
+            snapshotted.append(self)
+            return snapshot(self, version)
+
+        def refuse(self):
+            pytest.fail("the diff re-derived state outside its two snapshots")
+
+        monkeypatch.setattr(CatalogAnalyzer, "snapshot", counted)
+        for name in (
+            "dominance_matrix",
+            "nonredundant_core",
+            "equivalence_classes",
+            "decision_reuse",
+        ):
+            monkeypatch.setattr(CatalogAnalyzer, name, refuse)
+        assert derived.diff(base, version=1) == expected
+        assert snapshotted == [base, derived]
 
     def test_diff_on_replace_marks_replacement(self, small_catalog, weak_view):
         base = CatalogAnalyzer(small_catalog)
@@ -455,6 +483,50 @@ class TestServiceIntegration:
         assert bad.status == "refused"
         assert events == []
         assert metrics.deltas_published == 0
+
+    def test_failed_diff_refuses_the_edit(
+        self, small_catalog, weak_view, tmp_path, monkeypatch
+    ):
+        # The diff runs before commit: its failure refuses the edit like a
+        # failing engine job does, so nothing is committed, journaled,
+        # logged or pushed and no subscriber is forced to resync.
+        path = str(tmp_path / "j.jsonl")
+
+        def broken(self, previous, version=0):
+            raise RuntimeError("diff broke")
+
+        async def main():
+            journal = DeltaJournal(path, fsync="off")
+            async with CatalogService(small_catalog, journal=journal) as service:
+                sub = service.subscribe(["core", "dominance"])
+                monkeypatch.setattr(CatalogAnalyzer, "diff", broken)
+                bad = await asyncio.wait_for(
+                    service.add_view("Zextra", weak_view), timeout=5
+                )
+                state = (
+                    service.version, sub.drain(), service.delta_log(),
+                    service.metrics(),
+                )
+                monkeypatch.undo()
+                good = await asyncio.wait_for(
+                    service.add_view("Zextra", weak_view), timeout=5
+                )
+                return bad, state, good
+
+        bad, (version, events, log, metrics), good = run(main())
+        assert bad.status == "refused"
+        assert "RuntimeError: diff broke" in bad.reason
+        assert version == 0 and metrics.edits == 0
+        assert events == [] and log == {}
+        assert metrics.deltas_published == 0
+        assert metrics.resyncs_forced == 0
+        # The dispatcher survived: the same edit then commits as version 1,
+        # and the journal holds the base anchor and that edit only.
+        assert good.ok and good.answer["version"] == 1
+        assert [(r.type, r.version) for r in scan_journal(path).records] == [
+            ("snapshot", 0),
+            ("delta", 1),
+        ]
 
     def test_service_close_terminates_subscribers(self, small_catalog):
         async def main():
