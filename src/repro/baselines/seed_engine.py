@@ -50,7 +50,11 @@ SymbolMap = Dict
 
 
 def _seed_as_template(query: Union[Expression, Template]) -> Template:
-    """Uncached query coercion — the seed never touches the memo tables."""
+    """Uncached query coercion — the seed never touches the memo tables.
+
+    Tests use the seed engine as the reference for the memoised engine, so it
+    converts with the raw Algorithm 2.1.1, not ``views.closure.as_template``.
+    """
 
     if isinstance(query, Template):
         return query
@@ -327,12 +331,7 @@ def seed_remove_redundancy_queries(
 ) -> List[Union[Expression, Template]]:
     """The seed redundancy elimination (restart-on-drop) over plain queries."""
 
-    from repro.templates.from_expression import template_from_expression
-
-    templates = [
-        query if isinstance(query, Template) else template_from_expression(query)
-        for query in queries
-    ]
+    templates = [_seed_as_template(query) for query in queries]
     unique: List[int] = []
     for index, template in enumerate(templates):
         if not any(

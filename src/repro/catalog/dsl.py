@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple as PyTuple
 
 from repro.exceptions import CatalogError
+from repro.relalg.ast import Expression
 from repro.relalg.parser import parse_expression
 from repro.relalg.printer import format_expression
 from repro.relational.schema import DatabaseSchema, RelationName, RelationScheme
@@ -123,6 +124,9 @@ def parse_catalog(text: str) -> Catalog:
     schema = DatabaseSchema(relation_names)
 
     views: Dict[str, View] = {}
+    # Renamed copies repeat their bodies verbatim: each distinct body text is
+    # parsed once and its copies share the one immutable Expression.
+    parsed: Dict[str, Expression] = {}
     for view_name, lines in view_blocks:
         definitions = []
         for line in lines:
@@ -131,8 +135,10 @@ def parse_catalog(text: str) -> Catalog:
                 raise CatalogError(f"cannot parse view definition {line!r}")
             attrs = _split_attrs(match.group("attrs"), line)
             name = RelationName(match.group("name"), RelationScheme(attrs))
-            query = parse_expression(match.group("body"), schema)
-            definitions.append(ViewDefinition(query, name))
+            body = match.group("body")
+            if body not in parsed:
+                parsed[body] = parse_expression(body, schema)
+            definitions.append(ViewDefinition(parsed[body], name))
         if view_name in views:
             raise CatalogError(f"duplicate view name {view_name!r}")
         views[view_name] = View(definitions, schema)

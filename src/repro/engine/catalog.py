@@ -522,9 +522,10 @@ class CatalogAnalyzer:
         views added/dropped/replaced, core membership changes, equivalence
         classes formed/dissolved, dominance edges set/removed/flipped.  It
         diffs one :meth:`snapshot` of each analyzer, so it decides whatever
-        representative pairs either side still lacks; when both are already
-        decided — the service decides them before it diffs — the cost is one
-        matrix build per side plus set differences.
+        representative pairs either side still lacks; the service's edit job
+        relies on that to decide the new version's pairs.  Past the
+        decisions, the cost is one matrix build per side plus set
+        differences.
         """
 
         return compute_delta(previous, self, version=version)

@@ -50,7 +50,9 @@ def expressions_equivalent(left: Expression, right: Expression) -> bool:
     if left.target_scheme != right.target_scheme:
         return False
     # Imported lazily to avoid a circular import: the template package builds
-    # on the expression AST defined alongside this module.
+    # on the expression AST defined alongside this module.  The conversion is
+    # raw because the memoised views.closure.as_template would make relalg
+    # import views.
     from repro.templates.from_expression import template_from_expression
     from repro.templates.homomorphism import templates_equivalent
 

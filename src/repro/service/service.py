@@ -25,8 +25,8 @@ Design:
   memo tables and run concurrently; edit requests are applied by the
   dispatcher itself — one at a time, never overlapping another edit — and
   swap the service's analyzer for the incrementally derived one.  An edit's
-  engine work (derive, count reuse, decide both versions' pairs) is one
-  executor job; the diff follows on the dispatcher, and a failure in either
+  engine work (derive, count reuse, diff the two versions, which decides
+  both versions' pairs) is one executor job, and a failure anywhere in it
   refuses the edit with the catalog unchanged.  Reads already in flight
   keep the analyzer object they captured, so they answer consistently
   against the version they started on; the response carries that version.
@@ -50,14 +50,13 @@ Design:
   in :meth:`metrics` next to the memo-table hit rates.
 * **Subscriptions push, polls retire.**  :meth:`CatalogService.subscribe`
   registers a topic subscriber with the service's
-  :class:`~repro.service.subscriptions.SubscriptionHub`; after each
-  edit the dispatcher computes the engine-level changed set before commit
+  :class:`~repro.service.subscriptions.SubscriptionHub`; each edit's
+  engine job computes the engine-level changed set before commit
   (:meth:`CatalogAnalyzer.diff` — set differences between one snapshot of
-  each version, both already decided by the edit's engine job), journals
-  it, commits, and pushes the versioned
-  :class:`~repro.engine.CatalogDelta` to every matching subscriber.  Slow
-  subscribers are resynced with a fresh snapshot, never silently dropped;
-  reconnects catch up from the retained delta log
+  each version), and the dispatcher journals it, commits, and pushes the
+  versioned :class:`~repro.engine.CatalogDelta` to every matching
+  subscriber.  Slow subscribers are resynced with a fresh snapshot, never
+  silently dropped; reconnects catch up from the retained delta log
   (:mod:`repro.service.subscriptions` documents the delivery contract).
   ``history_window`` bounds both the replay history and the delta log for
   long-lived serving; catch-up past the window triggers a snapshot resync.
@@ -1362,25 +1361,23 @@ class CatalogService:
             # Read before any new pair is decided: what the derivation
             # inherited against what the new matrix needs.
             reuse = derived.decision_reuse()
-            # Decide both versions' pairs here, off the event loop, so the
-            # diff below decides nothing and reads of the new version start
-            # warm.  `previous` is already decided except at the first edit
-            # of a never-read catalog.
-            derived.dominance_matrix()
-            previous.dominance_matrix()
-            return derived, reuse
+            # The diff's two snapshots decide both versions' pairs here, off
+            # the event loop, so reads of the new version start warm.
+            # `previous` is already decided except at the first edit of a
+            # never-read catalog.  The diff's time opens the push latency.
+            diff_started = self._clock()
+            delta = derived.diff(previous, version=new_version)
+            return derived, reuse, delta, self._clock() - diff_started
 
-        # A failure in the engine job or the diff refuses the edit and leaves
-        # the catalog exactly as it was (no version bump, nothing journaled
-        # or pushed); the dispatcher survives it.  The delta is computed
-        # before commit so the journal can record it ahead of publication —
-        # the journal is never behind a subscriber.
+        # A failure in the engine job, diff included, refuses the edit and
+        # leaves the catalog exactly as it was (no version bump, nothing
+        # journaled or pushed); the dispatcher survives it.  The delta is
+        # computed before commit so the journal can record it ahead of
+        # publication — the journal is never behind a subscriber.
         try:
-            derived, (reused, needed) = await loop.run_in_executor(
+            derived, (reused, needed), delta, diff_s = await loop.run_in_executor(
                 self._executor, engine_job
             )
-            push_started = self._clock()
-            delta = derived.diff(previous, version=new_version)
         except Exception as error:  # noqa: BLE001 — the dispatcher must survive
             self._finish(
                 item,
@@ -1389,10 +1386,11 @@ class CatalogService:
                 queue_wait=waited,
             )
             return
+        push_started = self._clock()
         if item.trace is not None:
-            # The edit's compute span (the engine job + diff) closes here;
-            # journal and publish tile after it.
-            item.trace.diff_done = self._clock()
+            # The edit's compute span (the engine job, diff included) closes
+            # here; journal and publish tile after it.
+            item.trace.diff_done = push_started
         if self._journal is not None:
             # The append (and per-record fsync) is file I/O: it runs on the
             # executor so the event loop keeps serving reads while the edit
@@ -1431,7 +1429,7 @@ class CatalogService:
                     f"{type(error).__name__}: {error}"
                 ),
             )
-        push_elapsed = max(0.0, self._clock() - push_started)
+        push_elapsed = max(0.0, diff_s + self._clock() - push_started)
         self._push_latencies.append(push_elapsed)
         self._totals.push_total_s += push_elapsed
         self._h_push.observe(push_elapsed)

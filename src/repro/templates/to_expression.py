@@ -242,6 +242,8 @@ def expression_from_template(template: Template, max_search_width: int = 4096) -
         raise NotAnExpressionTemplateError(
             "the template does not realise a project-join expression mapping"
         )
+    # A raw conversion, not views.closure.as_template: this layer sits below
+    # views, and a one-off synthesised expression has nothing to share.
     synthesised = template_from_expression(expression)
     if not templates_equivalent(synthesised, template):
         raise NotAnExpressionTemplateError(

@@ -52,12 +52,6 @@ __all__ = [
 Query = Union[Expression, Template]
 
 
-def _as_template(query: Query) -> Template:
-    # Memoised coercion (see closure.as_template): the simplification loop
-    # re-coerces surviving members and their projections on every sweep.
-    return as_template(query)
-
-
 def _as_expression(query: Query) -> Expression:
     if isinstance(query, Expression):
         return query
@@ -93,13 +87,13 @@ def is_simple_member(
     other queries plus its own proper projections.
     """
 
-    member_template = _as_template(member)
+    member_template = as_template(member)
     rest = [
-        _as_template(query)
+        as_template(query)
         for query in queries
-        if not templates_equivalent(_as_template(query), member_template)
+        if not templates_equivalent(as_template(query), member_template)
     ]
-    generators = rest + [_as_template(p) for p in proper_projection_queries(member)]
+    generators = rest + [as_template(p) for p in proper_projection_queries(member)]
     return not closure_contains(named_generators(generators), member_template, limits)
 
 
@@ -136,9 +130,9 @@ def simplify_query_set(
         for index, member in enumerate(current):
             rest = current[:index] + current[index + 1 :]
             projections = proper_projection_queries(member)
-            generator_templates = [_as_template(q) for q in rest + projections]
+            generator_templates = [as_template(q) for q in rest + projections]
             if closure_contains(
-                named_generators(generator_templates), _as_template(member), limits
+                named_generators(generator_templates), as_template(member), limits
             ):
                 current = rest + projections
                 replaced = True
@@ -188,10 +182,8 @@ def simplified_views_match(
 
     if len(first) != len(second):
         return False
-    first_templates = [_as_template(q) for q in first.defining_queries]
-    second_templates = list(
-        _as_template(q) for q in second.defining_queries
-    )
+    first_templates = [as_template(q) for q in first.defining_queries]
+    second_templates = [as_template(q) for q in second.defining_queries]
     remaining = list(second_templates)
     for template in first_templates:
         match: Optional[int] = None
@@ -216,7 +208,7 @@ def projection_of_original(
     exists (which, for genuinely equivalent simplified views, never happens).
     """
 
-    member_template = _as_template(simplified_member)
+    member_template = as_template(simplified_member)
     target = member_template.target_scheme
     for original in original_queries:
         original_expr = _as_expression(original)
@@ -227,6 +219,6 @@ def projection_of_original(
             if target == original_expr.target_scheme
             else normalize_expression(Projection(original_expr, target))
         )
-        if templates_equivalent(_as_template(candidate), member_template):
+        if templates_equivalent(as_template(candidate), member_template):
             return original_expr, target
     return None

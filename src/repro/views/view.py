@@ -24,10 +24,10 @@ from repro.relalg.ast import Expression
 from repro.relalg.evaluate import evaluate
 from repro.relational.instance import Instantiation
 from repro.relational.schema import DatabaseSchema, RelationName
-from repro.templates.from_expression import template_from_expression
 from repro.templates.reduction import reduce_template
 from repro.templates.substitution import TemplateAssignment
 from repro.templates.template import Template
+from repro.views.closure import as_template
 
 __all__ = ["ViewDefinition", "View"]
 
@@ -162,8 +162,10 @@ class View:
         """Algorithm 2.1.1 templates of the defining queries, keyed by view name."""
 
         if self._templates_cache is None:
+            # Through the closure search's memo: a view and the search share
+            # one Algorithm 2.1.1 conversion per distinct defining query.
             templates = {
-                definition.name: template_from_expression(definition.query)
+                definition.name: as_template(definition.query)
                 for definition in self._definitions
             }
             object.__setattr__(self, "_templates_cache", templates)

@@ -320,12 +320,12 @@ class TestEditStream:
         assert version == 0  # the failed edit did not bump the version
         assert core.ok
 
-    def test_steady_state_edit_builds_the_matrix_four_times(
+    def test_steady_state_edit_builds_the_matrix_twice(
         self, small_catalog, q_schema, monkeypatch
     ):
-        # One edit: a representative scan for the reuse count, then a scan
-        # and a matrix build per version to decide both, and one of each
-        # per version for the diff's two snapshots.
+        # One edit: a representative scan for the reuse count, then one scan
+        # and one matrix build per version for the diff's two snapshots,
+        # which also decide the new version's pairs.
         extra = View(
             [(parse_expression("pi{B}(q)", q_schema), RelationName("Z1", "B"))],
             q_schema,
@@ -353,7 +353,34 @@ class TestEditStream:
 
         response = run(main())
         assert response.ok and response.answer["version"] == 2
-        assert calls == {"_broadcast_matrix": 4, "_representatives": 5}
+        assert calls == {"_broadcast_matrix": 2, "_representatives": 3}
+
+    def test_push_latency_counts_the_diff_in_the_engine_job(
+        self, small_catalog, q_schema, monkeypatch
+    ):
+        # The diff runs in the edit's engine job, off the dispatcher, yet push
+        # latency still means diff + journal + fan-out.
+        now = [100.0]
+        original = CatalogAnalyzer.diff
+
+        def slow_diff(self, previous, version=0):
+            now[0] += 0.25
+            return original(self, previous, version=version)
+
+        monkeypatch.setattr(CatalogAnalyzer, "diff", slow_diff)
+        extra = View(
+            [(parse_expression("pi{B}(q)", q_schema), RelationName("Z1", "B"))],
+            q_schema,
+        )
+
+        async def main():
+            async with CatalogService(small_catalog, clock=lambda: now[0]) as service:
+                response = await service.add_view("Extra", extra)
+                return response, service.metrics()
+
+        response, metrics = run(main())
+        assert response.ok
+        assert metrics.push_total_s == pytest.approx(0.25)
 
     def test_history_tracks_every_version(self, small_catalog, q_schema):
         extra = View(
