@@ -76,6 +76,7 @@ from repro.engine import CatalogAnalyzer, process_chunksize  # noqa: E402
 from repro.obs.sampling import TailSampler  # noqa: E402
 from repro.obs.tracing import Tracer, trace_breakdown  # noqa: E402
 from repro.perf import cache_stats, clear_caches  # noqa: E402
+from repro.perf.history import append_history, git_revision  # noqa: E402
 from repro.service import (  # noqa: E402
     OVERLOAD_POLICY,
     DeltaJournal,
@@ -346,11 +347,11 @@ def bench_catalog(repeats: int, smoke: bool = False) -> Dict[str, object]:
     N=16 catalog computed by the serial :class:`CatalogAnalyzer` (one
     decision per signature-class representative pair, broadcast to the
     class) against the seed engine deciding all ``N(N-1)`` pairs.  The
-    parallel lanes then re-run the same cold batched job with 4 workers and
-    record the honest wall-clock ratio next to the machine's CPU count —
-    on a single-CPU container the ratio is ~1x (thread) and <1x (process
-    startup); the lanes exist to verify bit-identical results and to let
-    multi-core machines record real scaling in the same trajectory.
+    parallel lane then re-runs a cold batched job on a 4-worker process
+    pool and records the honest wall-clock ratio next to the machine's CPU
+    count — on a single CPU, pool startup makes it <1x; the lane exists to
+    verify bit-identical results and to let multi-core machines record
+    real scaling in the same trajectory.
     """
 
     schema = random_schema(SchemaSpec(relations=4, arity=2, universe_size=5), seed=11)
@@ -384,49 +385,40 @@ def bench_catalog(repeats: int, smoke: bool = False) -> Dict[str, object]:
             )
         )
 
-    # Parallel lanes: engine-vs-engine on a 16-view catalog of *distinct*
-    # views (no dedup shortcut), cold each run, results cross-checked
-    # bit-identical to serial.
+    # Parallel lane: engine-vs-engine on a 16-view catalog of *distinct*
+    # views (no dedup shortcut), cold each run, the process pool's matrix
+    # cross-checked bit-identical to serial.
     parallel_schema = random_schema(SchemaSpec(relations=5, arity=3, universe_size=7), seed=11)
     parallel_catalog = view_catalog(
         parallel_schema, classes=16, copies_per_class=1, members=2, atoms_per_query=3, seed=5
     )
     jobs = 4
 
-    def engine_run(n_jobs: int, executor: str):
-        return CatalogAnalyzer(
-            parallel_catalog, jobs=n_jobs, executor=executor
-        ).dominance_matrix()
+    def engine_run(n_jobs: int):
+        return CatalogAnalyzer(parallel_catalog, jobs=n_jobs).dominance_matrix()
 
     clear_caches()
-    reference = engine_run(1, "thread")
-    serial_s = _median_seconds(lambda: engine_run(1, "thread"), repeats, clear=True)
-    executors = ["thread"] if smoke else ["thread", "process"]
-    parallel = []
+    reference = engine_run(1)
+    serial_s = _median_seconds(lambda: engine_run(1), repeats, clear=True)
+    clear_caches()
+    identical = engine_run(jobs) == reference
+    parallel_s = _median_seconds(lambda: engine_run(jobs), repeats, clear=True)
     n_views = len(parallel_catalog)
-    representative_pairs = n_views * (n_views - 1)
-    for executor in executors:
-        clear_caches()
-        identical = engine_run(jobs, executor) == reference
-        parallel_s = _median_seconds(
-            lambda e=executor: engine_run(jobs, e), repeats, clear=True
-        )
-        lane = {
-            "name": f"catalog16_parallel_{executor}",
+    parallel = [
+        {
+            "name": "catalog16_parallel",
             "views": n_views,
             "jobs": jobs,
-            "executor": executor,
             "cpus": os.cpu_count(),
             "serial_s": serial_s,
             "parallel_s": parallel_s,
             "speedup_parallel": serial_s / max(parallel_s, 1e-9),
             "identical_to_serial": identical,
-        }
-        if executor == "process":
             # The chunked submission amortises per-task pickling/dispatch;
-            # the trajectory records the chunk the auto-heuristic picked.
-            lane["chunksize"] = process_chunksize(representative_pairs, jobs)
-        parallel.append(lane)
+            # the trajectory records the chunk process_chunksize picked.
+            "chunksize": process_chunksize(n_views * (n_views - 1), jobs),
+        }
+    ]
 
     suite = {
         "scenarios": scenarios,
@@ -971,7 +963,7 @@ def run(repeats: int, smoke: bool) -> Dict[str, object]:
             )
         for lane in summary.get("parallel", ()):
             print(
-                f"[bench]   parallel {lane['executor']} x{lane['jobs']} "
+                f"[bench]   parallel process x{lane['jobs']} "
                 f"({lane['cpus']} cpu): {lane['speedup_parallel']:.2f}x vs serial, "
                 f"identical={lane['identical_to_serial']}"
             )
@@ -1190,8 +1182,6 @@ def main(argv=None) -> int:
         handle.write("\n")
     print(f"[bench] wrote {args.output}")
     if args.history:
-        from history import append_history, git_revision
-
         entry = append_history(report, args.history, git_rev=git_revision(_ROOT))
         print(
             f"[bench] appended {len(entry['metrics'])} tracked metric(s) to "

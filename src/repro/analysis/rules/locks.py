@@ -116,7 +116,7 @@ class LockRule(Rule):
     severity = "error"
     summary = "classes declaring _lock mutate shared self._* state under it"
     rationale = (
-        "the memo tables and counters are hit by catalog worker threads; a "
+        "the memo tables and counters are hit by service worker threads; a "
         "mutation outside the lock is a data race no test reliably catches"
     )
 

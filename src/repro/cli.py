@@ -98,13 +98,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     catalog_analyze.add_argument("catalogue", help="path to a catalogue file")
     catalog_analyze.add_argument(
-        "--jobs", type=int, default=1, help="parallel workers for the pairwise decisions"
-    )
-    catalog_analyze.add_argument(
-        "--executor",
-        choices=("thread", "process"),
-        default="thread",
-        help="worker backend (process pays startup cost; pays off on cold multi-core runs)",
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes for the pairwise decisions (1: serial; more pays "
+        "pool startup, which pays off on cold multi-core runs)",
     )
     catalog_analyze.add_argument(
         "--max-subsets",
@@ -220,13 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="kill the journal mid-write on edit K+1 (a torn partial record), "
         "leaving exactly K edits durable; the service keeps serving — "
         "exercise `recover` on the torn file afterwards (requires --journal)",
-    )
-    traffic.add_argument(
-        "--cache-warm",
-        action="store_true",
-        help="enable the delta-driven report prefetcher: an internal "
-        "subscriber warms view reports for added/replaced views as each "
-        "edit commits",
     )
     traffic.add_argument(
         "--trace",
@@ -492,13 +483,12 @@ def _cmd_equivalent(catalog: Catalog, first_name: str, second_name: str, out) ->
 def _cmd_catalog_analyze(
     catalog: Catalog,
     jobs: int,
-    executor: str,
     max_subsets: Optional[int],
     as_json: bool,
     out,
 ) -> int:
     limits = SearchLimits() if max_subsets is None else SearchLimits(max_subsets=max_subsets)
-    analyzer = CatalogAnalyzer(catalog, limits=limits, jobs=jobs, executor=executor)
+    analyzer = CatalogAnalyzer(catalog, limits=limits, jobs=jobs)
     report = analyzer.analyze()
     if as_json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True), file=out)
@@ -631,7 +621,6 @@ def _cmd_traffic(args, out) -> int:
         policy=policy,
         subscriber_specs=specs,
         journal=journal,
-        cache_warm=args.cache_warm,
         admission=args.admission,
         coverage=args.coverage,
         tracer=tracer,
@@ -782,13 +771,6 @@ def _cmd_traffic(args, out) -> int:
                 f"deltas, {j['snapshot_records']} snapshots), {j['bytes']} "
                 f"bytes, {j['fsyncs']} fsyncs [{j['fsync']}]"
                 + (f"; {'; '.join(flags)}" if flags else ""),
-                file=out,
-            )
-        if args.cache_warm:
-            w = m["warming"]
-            print(
-                f"  cache warming: {w['prefetches']} prefetches, "
-                f"{w['warm_hits']} warm report hits",
                 file=out,
             )
         if "subscriptions" in summary:
@@ -1318,7 +1300,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
             return _cmd_simplify(catalog, out)
         if args.command == "catalog-analyze":
             return _cmd_catalog_analyze(
-                catalog, args.jobs, args.executor, args.max_subsets, args.json, out
+                catalog, args.jobs, args.max_subsets, args.json, out
             )
     except (OSError, ReproError) as error:
         print(f"error: {error}", file=out)

@@ -5,9 +5,9 @@ dominance/equivalence questions, redundancy elimination and per-view reports
 as one job — deduplicating work across capacity-equal views via canonical
 template signatures, honouring one shared
 :class:`~repro.views.closure.SearchLimits` object, fanning independent
-decisions over a thread or process pool, and updating incrementally when a
-view gains or loses a defining query.  See :mod:`repro.engine.catalog` for
-the design notes and :mod:`repro.engine.parallel` for the backends.
+decisions over a process pool when ``jobs > 1``, and updating incrementally
+when a view gains or loses a defining query.  See :mod:`repro.engine.catalog`
+for the design notes and :mod:`repro.engine.parallel` for the backends.
 """
 
 from repro.engine.catalog import CatalogAnalyzer, CatalogReport, view_signature

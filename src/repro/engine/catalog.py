@@ -19,9 +19,8 @@ matrix as one batched job:
   per-view report flows through those shared objects — no stray per-call
   defaults.
 * **Parallel fan-out.**  The independent representative-pair decisions run
-  serially, on a thread pool over the lock-guarded memo tables, or on an
-  opt-in process pool for cold catalogs (see :mod:`repro.engine.parallel`).
-  Results are bit-identical across backends.
+  serially (``jobs=1``) or on a process pool (``jobs>1``; see
+  :mod:`repro.engine.parallel`).  Results are bit-identical across backends.
 * **Incremental updates.**  :meth:`CatalogAnalyzer.with_view` /
   :meth:`CatalogAnalyzer.without_view` derive a new analyzer that keeps every
   decision not involving the changed view and refreshes decisions *against*
@@ -70,7 +69,6 @@ from repro.engine.parallel import (
     pair_outcome,
     run_pairs_process,
     run_pairs_serial,
-    run_pairs_threaded,
 )
 from repro.exceptions import CapacityError
 from repro.obs.profile import ENGINE_PROFILE as _PROFILE
@@ -91,8 +89,6 @@ __all__ = [
     "CatalogSnapshot",
     "view_signature",
 ]
-
-_EXECUTORS = ("thread", "process")
 
 ViewsInput = Union[Catalog, Mapping[str, View], Iterable[PyTuple[str, View]]]
 
@@ -208,15 +204,15 @@ class CatalogAnalyzer:
         The single :class:`SearchLimits` object every batched decision and
         per-view report honours.
     jobs:
-        Worker count for the pairwise fan-out; ``1`` means serial.
-    executor:
-        ``"thread"`` (default) or ``"process"`` — see
-        :mod:`repro.engine.parallel` for the trade-off.
-    chunksize:
-        Pairs per task submission on the process backend; ``None`` picks
-        :func:`repro.engine.parallel.process_chunksize`'s default (about
-        four chunks per worker).  Ignored by the serial and thread backends,
-        whose submissions carry no pickling cost to amortise.
+        Worker count for the pairwise fan-out: ``1`` runs the serial loop,
+        more runs a process pool of that width, fed in chunks sized by
+        :func:`repro.engine.parallel.process_chunksize`.  Process workers
+        return verdicts, not witnesses.
+
+    One analyzer may be shared by several threads (the service's read
+    workers do): the memo tables are lock-guarded and a decision is a pure
+    function of its two views and the limits, so concurrent callers at
+    worst decide a pair twice.
     """
 
     def __init__(
@@ -224,8 +220,6 @@ class CatalogAnalyzer:
         views: ViewsInput,
         limits: SearchLimits = SearchLimits(),
         jobs: int = 1,
-        executor: str = "thread",
-        chunksize: Optional[int] = None,
     ) -> None:
         items = dict(views.views) if isinstance(views, Catalog) else dict(views)
         if not items:
@@ -237,17 +231,9 @@ class CatalogAnalyzer:
             )
         if jobs < 1:
             raise CapacityError(f"jobs must be >= 1, got {jobs}")
-        if executor not in _EXECUTORS:
-            raise CapacityError(
-                f"unknown executor {executor!r}; expected one of {_EXECUTORS}"
-            )
-        if chunksize is not None and chunksize < 1:
-            raise CapacityError(f"chunksize must be >= 1, got {chunksize}")
         self._views: Dict[str, View] = {name: items[name] for name in sorted(items)}
         self._limits = limits
         self._jobs = int(jobs)
-        self._executor = executor
-        self._chunksize = chunksize
         # One capacity per view, all built from the one shared limits object;
         # sharing the capacity shares its generator mapping, which keys every
         # downstream construction memo.
@@ -362,17 +348,13 @@ class CatalogAnalyzer:
             return {}
         if self._jobs <= 1 or len(pairs) == 1:
             return run_pairs_serial(pairs, self._decide)
-        if self._executor == "thread":
-            return run_pairs_threaded(pairs, self._decide, self._jobs)
         catalog_text = serialize_catalog(
             Catalog(
                 schema=next(iter(self._views.values())).underlying_schema,
                 views=self._views,
             )
         )
-        return run_pairs_process(
-            pairs, catalog_text, self._limits, self._jobs, self._chunksize
-        )
+        return run_pairs_process(pairs, catalog_text, self._limits, self._jobs)
 
     def decision_reuse(self) -> PyTuple[int, int]:
         """``(already_decided, needed)`` representative pairs for the matrix.
@@ -537,8 +519,6 @@ class CatalogAnalyzer:
         matrix: Mapping[Pair, bool],
         limits: SearchLimits = SearchLimits(),
         jobs: int = 1,
-        executor: str = "thread",
-        chunksize: Optional[int] = None,
     ) -> "CatalogAnalyzer":
         """An analyzer whose decision store is pre-seeded from ``matrix``.
 
@@ -560,9 +540,7 @@ class CatalogAnalyzer:
         verdicts that broadcast wrongly later.
         """
 
-        analyzer = cls(
-            views, limits=limits, jobs=jobs, executor=executor, chunksize=chunksize
-        )
+        analyzer = cls(views, limits=limits, jobs=jobs)
         for (a, b), holds in matrix.items():
             if a not in analyzer._views or b not in analyzer._views:
                 raise CapacityError(
@@ -575,13 +553,7 @@ class CatalogAnalyzer:
 
     # ---------------------------------------------------------- incremental
     def _derive(self, views: Dict[str, View]) -> "CatalogAnalyzer":
-        derived = CatalogAnalyzer(
-            views,
-            limits=self._limits,
-            jobs=self._jobs,
-            executor=self._executor,
-            chunksize=self._chunksize,
-        )
+        derived = CatalogAnalyzer(views, limits=self._limits, jobs=self._jobs)
         # Decisions are pure functions of the two views and the limits, so
         # every decided pair whose views are unchanged carries over.  The
         # snapshot copy lets a service thread keep deciding pairs on *this*
@@ -630,7 +602,4 @@ class CatalogAnalyzer:
         return self._derive(views)
 
     def __repr__(self) -> str:
-        return (
-            f"CatalogAnalyzer({len(self._views)} views, jobs={self._jobs}, "
-            f"executor={self._executor!r})"
-        )
+        return f"CatalogAnalyzer({len(self._views)} views, jobs={self._jobs})"

@@ -79,8 +79,8 @@ TOPIC_DOMINANCE = "dominance"
 
 #: Subscription topic: any view added, replaced or dropped — the whole edit
 #: feed, without naming views up front the way ``view_report:<name>`` does.
-#: This is what an internal consumer tracking *every* catalog mutation (the
-#: service's delta-driven cache warmer, a replica apply loop) subscribes to.
+#: This is what a consumer tracking *every* catalog mutation (a replica apply
+#: loop, say) subscribes to.
 TOPIC_VIEWS = "views"
 
 #: Subscription topic prefix: ``view_report:<name>`` fires when the named

@@ -1,38 +1,32 @@
 """Execution backends for the batched catalog engine.
 
 The pairwise dominance decisions of a catalog are independent of each other,
-so :class:`repro.engine.CatalogAnalyzer` fans them out over one of three
-backends:
+so :class:`repro.engine.CatalogAnalyzer` runs them on one of two backends:
 
 * **serial** (``jobs=1``) — a plain loop; the reference for the bit-identical
   cross-checks.
-* **thread** — a :class:`~concurrent.futures.ThreadPoolExecutor` over the
-  already lock-guarded memo tables of :mod:`repro.perf.cache`.  Warm traffic
-  (the memo steady state) spends most of its time in table probes, so threads
-  interleave cheaply and every worker benefits from every other worker's
-  inserts; the tables' ``contention`` counters record how often workers
-  actually collided.  Cold CPU-bound work is still serialised by the GIL.
-* **process** (opt-in) — a :class:`~concurrent.futures.ProcessPoolExecutor`
-  for *cold* catalogs, where the work is pure Python computation and only
-  separate interpreters give real parallelism.  The catalog is shipped to the
-  workers once, as its DSL serialisation (the library's domain objects guard
-  their immutability in ways the default pickle machinery trips over), and
-  pairs are submitted in *chunks* (:func:`process_chunksize`) so the
-  per-task pickling and dispatch overhead amortises over several decisions —
-  pool startup dominates small catalogs either way, but on big catalogs the
-  chunked submission keeps workers saturated instead of round-tripping one
-  name pair at a time.  Workers return ``(holds, missing-names)`` rather
-  than full witnesses; decisions made this way therefore carry no
-  construction witnesses in the parent.
+* **process** (``jobs>1``) — a :class:`~concurrent.futures.ProcessPoolExecutor`.
+  Each decision is pure Python computation, so only separate interpreters
+  give real parallelism; threads sharing one GIL lose to the serial loop.
+  The catalog is shipped to the workers once, as its DSL serialisation (the
+  library's domain objects guard their immutability in ways the default
+  pickle machinery trips over), and pairs are submitted in *chunks*
+  (:func:`process_chunksize`) so the per-task pickling and dispatch
+  overhead amortises over several decisions — pool startup dominates small
+  catalogs either way, but on big catalogs the chunked submission keeps
+  workers saturated instead of round-tripping one name pair at a time.
+  Workers return ``(holds, missing-names)`` rather than full witnesses;
+  decisions made this way therefore carry no construction witnesses in the
+  parent.
 
-All three backends compute each matrix cell as a pure function of
+Both backends compute each matrix cell as a pure function of
 ``(dominating view, dominated view, limits)``, so their results are
 bit-identical — which the test-suite asserts rather than assumes.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple
 from typing import Callable, Dict, List, Optional, Sequence, Tuple as PyTuple
 
@@ -45,7 +39,6 @@ __all__ = [
     "pair_outcome",
     "process_chunksize",
     "run_pairs_serial",
-    "run_pairs_threaded",
     "run_pairs_process",
 ]
 
@@ -71,19 +64,6 @@ def run_pairs_serial(pairs: Sequence[Pair], decide: DecideFn) -> Dict[Pair, Pair
     """Decide every pair in order on the calling thread."""
 
     return {pair: pair_outcome(decide(pair)) for pair in pairs}
-
-
-def run_pairs_threaded(
-    pairs: Sequence[Pair], decide: DecideFn, jobs: int
-) -> Dict[Pair, PairOutcome]:
-    """Decide the pairs on a thread pool sharing the global memo tables."""
-
-    results: Dict[Pair, PairOutcome] = {}
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = {pair: pool.submit(decide, pair) for pair in pairs}
-        for pair, future in futures.items():
-            results[pair] = pair_outcome(future.result())
-    return results
 
 
 # ----------------------------------------------------------- process backend
@@ -117,17 +97,15 @@ def _process_decide_chunk(
     return [_process_decide(pair) for pair in chunk]
 
 
-def process_chunksize(pair_count: int, jobs: int, chunksize: Optional[int] = None) -> int:
+def process_chunksize(pair_count: int, jobs: int) -> int:
     """Pairs per task submission on the process backend.
 
-    An explicit ``chunksize`` wins.  The default aims at about four chunks
-    per worker: enough slack that an unlucky worker stuck on one expensive
-    decision does not leave the rest idle, while each submission still
-    amortises its pickling and dispatch overhead over several decisions.
+    About four chunks per worker: enough slack that an unlucky worker stuck
+    on one expensive decision does not leave the rest idle, while each
+    submission still amortises its pickling and dispatch overhead over
+    several decisions.
     """
 
-    if chunksize is not None:
-        return max(1, int(chunksize))
     return max(1, -(-pair_count // (max(1, jobs) * 4)))
 
 
@@ -136,14 +114,13 @@ def run_pairs_process(
     catalog_text: str,
     limits: SearchLimits,
     jobs: int,
-    chunksize: Optional[int] = None,
 ) -> Dict[Pair, PairOutcome]:
     """Decide the pairs on a process pool seeded with the serialised catalog."""
 
     # astuple tracks the dataclass's field list, so a future SearchLimits
     # field cannot silently revert to its default on the process backend.
     limits_fields = astuple(limits)
-    chunk = process_chunksize(len(pairs), jobs, chunksize)
+    chunk = process_chunksize(len(pairs), jobs)
     chunks = [tuple(pairs[i : i + chunk]) for i in range(0, len(pairs), chunk)]
     results: Dict[Pair, PairOutcome] = {}
     with ProcessPoolExecutor(

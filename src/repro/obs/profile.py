@@ -25,7 +25,7 @@ __all__ = ["EngineProfile", "ENGINE_PROFILE"]
 class EngineProfile:
     """Shared engine counters behind an ``enabled`` flag.
 
-    Thread-safe: the catalog engine decides pairs on worker threads.  The
+    Thread-safe: the service's read workers decide pairs on threads.  The
     per-signature-class table is bounded — once ``max_classes`` distinct
     classes have been seen, further classes are folded into the
     ``"overflow"`` bucket so profiling long runs cannot grow without

@@ -111,8 +111,8 @@ class LRUCache:
         """Take the table lock, counting the times another thread held it.
 
         The counter is advisory (incremented outside the lock), which is fine
-        for the dashboard purpose it serves: any non-zero value means threads
-        of a parallel catalog run actually collided on this table.
+        for the dashboard purpose it serves: any non-zero value means the
+        service's read threads actually collided on this table.
         """
 
         if not self._lock.acquire(blocking=False):

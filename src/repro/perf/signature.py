@@ -192,14 +192,19 @@ def canonical_key(template: Template) -> Hashable:
     substitution images), the template itself is the key: exact structural
     equality, which only costs cross-renaming cache hits, never
     correctness.
+
+    The key is the same whether caches are on or off (signature classes,
+    and so :class:`repro.engine.CatalogAnalyzer` reports, must not depend
+    on the setting); only the memo table is switched.
     """
 
-    if not caches_enabled():
-        return template
-    found, key = _SIGNATURE_CACHE.lookup(template)
-    if found:
-        return key
+    memo = caches_enabled()
+    if memo:
+        found, key = _SIGNATURE_CACHE.lookup(template)
+        if found:
+            return key
     signature = template_signature(template, budget=0)
     key = template if signature is None else intern_value(signature)
-    _SIGNATURE_CACHE.put(template, key)
+    if memo:
+        _SIGNATURE_CACHE.put(template, key)
     return key

@@ -53,7 +53,7 @@ class ServiceMetrics:
 
     * *Monotonic totals* — every plain count (``served``, ``refused``,
       ``coalesced``, ``edits``, the deadline/shed counters, the
-      subscription ledger, ``reuse_*``, ``warm_*``, the admission
+      subscription ledger, ``reuse_*``, the admission
       counters) plus ``push_total_s`` and ``max_queue_depth``.  They
       accumulate from service start and **never reset**; rates per
       interval are computed by differencing two snapshots, exactly like
@@ -75,8 +75,8 @@ class ServiceMetrics:
     latency and queue-wait windows.  A request refused at submission never
     queued: it reports zero latency and wait and stays out of the
     windows.  ``coalesced`` and ``max_queue_depth`` are counted at
-    submission; ``edits``, ``reuse_*`` and ``push_*`` at edit commit;
-    ``warm_*`` by the cache warmer; the subscription block is the hub's.
+    submission; ``edits``, ``reuse_*`` and ``push_*`` at edit commit; the
+    subscription block is the hub's.
 
     ``served`` counts completed answers (``ok`` plus ``partial``);
     ``refused`` counts explicit refusals; ``coalesced`` counts duplicate
@@ -138,9 +138,6 @@ class ServiceMetrics:
     push_p50_s: float = 0.0
     push_p95_s: float = 0.0
     push_total_s: float = 0.0
-    warm_prefetches: int = 0
-    warm_hits: int = 0
-    warm_errors: int = 0
     #: Conformal admission gate (:mod:`repro.service.admission`): the active
     #: mode (``"off"``/``"conformal"``), the configured coverage level, how
     #: many requests the gate refused as unmeetable at submission, how many
@@ -249,11 +246,6 @@ class ServiceMetrics:
                 "push_p50_s": self.push_p50_s,
                 "push_p95_s": self.push_p95_s,
                 "push_total_s": self.push_total_s,
-            },
-            "warming": {
-                "prefetches": self.warm_prefetches,
-                "warm_hits": self.warm_hits,
-                "errors": self.warm_errors,
             },
             "admission": {
                 "mode": self.admission_mode,

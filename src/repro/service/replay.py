@@ -115,7 +115,6 @@ def run_traffic(
     policy: DeadlinePolicy = DeadlinePolicy(),
     subscriber_specs: Optional[Sequence] = None,
     journal: Optional[DeltaJournal] = None,
-    cache_warm: bool = False,
     admission: str = "off",
     coverage: float = 0.9,
     tracer: Optional[Tracer] = None,
@@ -141,8 +140,7 @@ def run_traffic(
     ``journal`` attaches a :class:`~repro.service.journal.DeltaJournal`
     (every committed edit journaled before publication; its final
     :meth:`~repro.service.journal.DeltaJournal.stats` returned under
-    ``"journal"``) and ``cache_warm`` enables the service's delta-driven
-    report prefetcher.
+    ``"journal"``).
 
     ``admission``/``coverage`` select the service's conformal admission
     gate (:mod:`repro.service.admission`); ``"off"`` (the default) keeps
@@ -177,7 +175,6 @@ def run_traffic(
             policy=policy,
             track_history=True,
             journal=journal,
-            cache_warm=cache_warm,
             admission=admission,
             coverage=coverage,
             tracer=tracer,

@@ -74,7 +74,7 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Hashable, Optional, Set
 
 from repro.engine.catalog import CatalogAnalyzer, ViewsInput
-from repro.engine.delta import TOPIC_VIEWS, CatalogDelta, CatalogSnapshot
+from repro.engine.delta import CatalogDelta, CatalogSnapshot
 from repro.exceptions import ReproError
 from repro.obs.profile import ENGINE_PROFILE
 from repro.obs.registry import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
@@ -121,8 +121,6 @@ from repro.service.scheduler import (
 )
 from repro.service.subscriptions import (
     DEFAULT_BUFFER,
-    EVENT_CLOSED,
-    EVENT_DELTA,
     Subscription,
     SubscriptionHub,
     evict_versions,
@@ -147,7 +145,7 @@ class _Totals:
     Event-loop thread only, so plain ints are safe.  Request outcomes are
     counted in :meth:`CatalogService._finish`; ``coalesced`` and
     ``max_queue_depth`` at submission; ``edits``/``reuse_*``/
-    ``push_total_s`` at edit commit; ``warm_*`` by the cache warmer.
+    ``push_total_s`` at edit commit.
     :meth:`CatalogService.metrics` unpacks the record whole and
     :meth:`CatalogService.metrics_registry` reads it.
     """
@@ -165,9 +163,6 @@ class _Totals:
     reuse_reused: int = 0
     reuse_needed: int = 0
     push_total_s: float = 0.0
-    warm_prefetches: int = 0
-    warm_hits: int = 0
-    warm_errors: int = 0
     admission_refused: int = 0
     confidence_attached: int = 0
 
@@ -249,11 +244,6 @@ class CatalogService:
         never behind any subscriber.  A failing journal degrades (lagging
         mode, surfaced in :meth:`metrics`) instead of blocking the edit
         stream; recovery is :func:`repro.service.journal.recover_service`.
-    cache_warm:
-        Run an internal ``"views"``-topic subscriber that prefetches the
-        view report of every added/replaced view right after the edit
-        commits, so the next ``view_report`` read hits warm memo tables
-        (``warm_prefetches``/``warm_hits`` in :meth:`metrics` prove it).
     admission:
         ``"off"`` (default — today's behaviour, bit for bit) or
         ``"conformal"``: consult the split-conformal admission controller
@@ -293,7 +283,7 @@ class CatalogService:
     engine, the spans and tail sampler, and builds the one response.
     Other totals are counted where their event happens: ``coalesced`` and
     ``max_queue_depth`` at submission, ``edits``, ``reuse_*`` and
-    ``push_total_s`` at edit commit, ``warm_*`` in the cache warmer.
+    ``push_total_s`` at edit commit.
 
     Use as an async context manager, or call :meth:`start`/:meth:`close`.
     """
@@ -309,7 +299,6 @@ class CatalogService:
         track_history: bool = False,
         history_window: Optional[int] = None,
         journal: Optional[DeltaJournal] = None,
-        cache_warm: bool = False,
         admission: str = "off",
         coverage: float = 0.9,
         tracer: Optional[Tracer] = None,
@@ -399,12 +388,8 @@ class CatalogService:
             "Per-edit delta publish latency (diff + journal + fan-out)",
             buckets=DEFAULT_LATENCY_BUCKETS,
         )
-        # Durability + cache warming (PR 6).
+        # Durability (PR 6).
         self._journal = journal
-        self._cache_warm = bool(cache_warm)
-        self._warm_sub: Optional[Subscription] = None
-        self._warm_task: Optional[asyncio.Task] = None
-        self._warmed: Dict[str, int] = {}
 
     # ------------------------------------------------------------ lifecycle
     async def start(self) -> "CatalogService":
@@ -439,16 +424,6 @@ class CatalogService:
                 catalog_text(self._analyzer.views),
                 snapshot,
             )
-        if self._cache_warm:
-            self._warm_sub = self._hub.subscribe(
-                [TOPIC_VIEWS],
-                buffer=DEFAULT_BUFFER,
-                current_version=self._version,
-                snapshot_fn=self._snapshot,
-            )
-            self._warm_task = asyncio.get_running_loop().create_task(
-                self._warm_loop(self._warm_sub)
-            )
         self._started_at = self._clock()
         return self
 
@@ -469,13 +444,7 @@ class CatalogService:
             await asyncio.gather(*tuple(self._serve_tasks))
         # Every subscriber gets a terminal closed event — iterating
         # consumers terminate instead of awaiting a push that never comes.
-        # The warm loop is one of them: close the hub while the executor is
-        # still up (a prefetch may be in flight), then await its exit.
         self._hub.close()
-        if self._warm_task is not None:
-            await self._warm_task
-            self._warm_task = None
-            self._warm_sub = None
         self._executor.shutdown(wait=True)
         self._dispatcher = None
         self._executor = None
@@ -928,15 +897,6 @@ class CatalogService:
             "repro_subscription_max_pending",
             "Deepest per-subscriber event backlog (backpressure gauge)",
         ).set(self._hub.stats()["max_pending"])
-        # Cache warming.
-        warm = reg.counter(
-            "repro_cache_warm_total",
-            "Delta-driven view-report prefetches and the reads that hit them",
-            labelnames=("event",),
-        )
-        warm.set_total(totals.warm_prefetches, event="prefetch")
-        warm.set_total(totals.warm_hits, event="hit")
-        warm.set_total(totals.warm_errors, event="error")
         # Journal.
         if self._journal is not None:
             stats = self._journal.stats()
@@ -1483,49 +1443,6 @@ class CatalogService:
         except SimulatedCrash:
             pass
 
-    # -------------------------------------------------------- cache warming
-    async def _warm_loop(self, subscription: Subscription) -> None:
-        """Prefetch view reports for every added/replaced view (delta-driven).
-
-        An internal ``"views"``-topic subscriber: after each committed edit
-        it computes the per-view report on the executor, so a client's next
-        ``view_report`` read finds the memo tables warm.  ``_warmed`` maps
-        view name to the catalog version its report was prefetched at;
-        :meth:`_serve` counts a warm hit when a ``view_report`` read lands
-        on exactly that version.
-        """
-
-        loop = asyncio.get_running_loop()
-        while True:
-            event = await subscription.get()
-            if event.type == EVENT_CLOSED:
-                return
-            if event.type != EVENT_DELTA or event.delta is None:
-                continue
-            delta = event.delta
-            for name in delta.views_dropped:
-                self._warmed.pop(name, None)
-            for name in delta.views_added + delta.views_replaced:
-                # Re-read the live analyzer per view: a later edit may have
-                # replaced or dropped the view while earlier prefetches ran.
-                analyzer = self._analyzer
-                version = self._version
-                if name not in analyzer.views:
-                    continue
-                try:
-                    await loop.run_in_executor(
-                        self._executor,
-                        lambda n=name, a=analyzer: a.analyzer(n).analyze(),
-                    )
-                except Exception:  # noqa: BLE001 — warming is best-effort
-                    # Best-effort, but never invisible: a prefetch that dies
-                    # on every edit would otherwise be indistinguishable
-                    # from warming working (REPRO-SWALLOW's point).
-                    self._totals.warm_errors += 1
-                    continue
-                self._totals.warm_prefetches += 1
-                self._warmed[name] = version
-
     # ------------------------------------------------------------ read path
     async def _serve(self, item: _WorkItem, order_key) -> None:
         request = item.request
@@ -1556,11 +1473,6 @@ class CatalogService:
         # event loop; edits swap both together with no await in between).
         analyzer = self._analyzer
         version = self._version
-        if (
-            request.kind == "view_report"
-            and self._warmed.get(request.subject) == version
-        ):
-            self._totals.warm_hits += 1
         marks = item.trace
         if marks is None:
             job = lambda: self._answer(analyzer, request, tier, limits)  # noqa: E731

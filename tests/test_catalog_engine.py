@@ -1,22 +1,27 @@
 """The batched catalog engine: determinism, thread-safety, cross-checks.
 
-The contract under test: every backend of :class:`repro.engine.CatalogAnalyzer`
-(serial, thread pool, process pool) produces **bit-identical** results — equal
-to each other, to per-pair :class:`repro.core.ViewAnalyzer` calls, and to the
-preserved seed engine — with memo tables enabled and disabled; and the
-incremental update paths agree with analysing the updated catalog from
-scratch.
+The contract under test: both backends of :class:`repro.engine.CatalogAnalyzer`
+(serial, process pool) produce **bit-identical** results — equal to each
+other, to per-pair :class:`repro.core.ViewAnalyzer` calls, and to the
+preserved seed engine — with memo tables enabled and disabled; one analyzer
+shared by several threads answers as a serial one does; and the incremental
+update paths agree with analysing the updated catalog from scratch.
 """
 
 from __future__ import annotations
 
 import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
 from repro import CatalogAnalyzer, ViewAnalyzer
 from repro.baselines.seed_engine import seed_closure_contains, seed_dominates
-from repro.engine import view_signature
+from repro.catalog import Catalog, parse_catalog, serialize_catalog
+from repro.engine import process_chunksize, view_signature
+from repro.engine.parallel import run_pairs_process, run_pairs_serial
 from repro.exceptions import CapacityError
 from repro.perf import caches_enabled, clear_caches, configure
 from repro.relalg import parse_expression
@@ -31,10 +36,14 @@ from repro.workloads import (
     view_catalog,
 )
 
-#: Worker count for the parallel lanes.  The default of 2 makes every
+#: Process-pool width for the parallel lanes.  The default of 2 makes every
 #: ordinary test run a ``--jobs 2`` lane; CI additionally re-runs the engine
-#: subset with REPRO_CATALOG_JOBS=4 for wider fan-out coverage.
+#: subset with REPRO_CATALOG_JOBS=4 for a wider pool.
 JOBS = int(os.environ.get("REPRO_CATALOG_JOBS", "2"))
+
+#: Two views whose defining queries are isomorphic up to symbol names only
+#: (design_batch seed 4, op 37, cut down to the pair that splits).
+TWIN_SIGNATURES = Path(__file__).parent / "fixtures" / "catalogs" / "twin_signatures.txt"
 
 
 @pytest.fixture(params=["cached", "uncached"])
@@ -132,59 +141,81 @@ class TestCrossChecks:
         assert not report.equivalent("Split", "Weak")
         assert report.nonredundant_core == ("Copy",)
 
+    def test_report_independent_of_cache_setting(self):
+        # V2 and V4 define isomorphic queries that differ only in symbol
+        # names, so they form one signature class whether the memo tables
+        # are on or off; the whole report, dedup counts included, agrees.
+        previous = caches_enabled()
+        reports = {}
+        try:
+            for enabled in (True, False):
+                configure(enabled=enabled)
+                clear_caches()
+                catalog = parse_catalog(TWIN_SIGNATURES.read_text())
+                reports[enabled] = CatalogAnalyzer(catalog).analyze().to_dict()
+        finally:
+            configure(enabled=previous)
+            clear_caches()
+        assert reports[True]["signature_classes"] == [["V2", "V4"]]
+        assert reports[False] == reports[True]
+
 
 class TestParallelDeterminism:
-    def test_thread_pool_bit_identical_to_serial(self, small_catalog, cache_mode):
-        serial = CatalogAnalyzer(small_catalog, jobs=1).analyze()
-        threaded = CatalogAnalyzer(small_catalog, jobs=JOBS).analyze()
-        assert threaded.dominance == serial.dominance
-        assert threaded.equivalence_classes == serial.equivalence_classes
-        assert threaded.nonredundant_core == serial.nonredundant_core
-
-    def test_thread_pool_deterministic_across_runs(self, random_catalog, cache_mode):
-        first = CatalogAnalyzer(random_catalog, jobs=JOBS).dominance_matrix()
-        second = CatalogAnalyzer(random_catalog, jobs=JOBS).dominance_matrix()
-        assert first == second
-        assert first == CatalogAnalyzer(random_catalog, jobs=1).dominance_matrix()
-
     def test_process_pool_bit_identical_to_serial(self, small_catalog):
-        serial = CatalogAnalyzer(small_catalog, jobs=1).dominance_matrix()
-        processed = CatalogAnalyzer(
-            small_catalog, jobs=2, executor="process"
-        ).dominance_matrix()
-        assert processed == serial
+        serial = CatalogAnalyzer(small_catalog, jobs=1)
+        processed = CatalogAnalyzer(small_catalog, jobs=JOBS)
+        assert processed.analyze().to_dict() == serial.analyze().to_dict()
+        # jobs > 1 ran the process pool: its workers return verdicts only,
+        # so the parent holds no witness for a decided pair.
+        assert serial.dominance_witness("Weak", "Split") is not None
+        assert processed.dominance_witness("Weak", "Split") is None
 
-    @pytest.mark.parametrize("chunksize", [1, 3, 100])
-    def test_process_pool_chunked_identical(self, small_catalog, chunksize):
-        # The chunked submission is a dispatch optimisation only: any chunk
-        # size (smaller, straddling, larger than the pair count) must produce
-        # the exact serial matrix.
-        serial = CatalogAnalyzer(small_catalog, jobs=1).dominance_matrix()
-        chunked = CatalogAnalyzer(
-            small_catalog, jobs=2, executor="process", chunksize=chunksize
-        ).dominance_matrix()
-        assert chunked == serial
+    @pytest.mark.parametrize("pair_count", [1, 3, 100])
+    def test_process_pool_chunked_identical(self, pair_count):
+        # The chunked submission is a dispatch optimisation only.  At two
+        # workers the default rule (about eight chunks) gives one-pair
+        # chunks for 1 and 3 pairs, and 13-pair chunks for 100 pairs, the
+        # last of them 9 pairs long; each must reproduce the serial cells.
+        schema = random_schema(SchemaSpec(relations=3, arity=2, universe_size=4), seed=23)
+        catalog = view_catalog(
+            schema, classes=11, copies_per_class=1, members=1, atoms_per_query=2, seed=3
+        )
+        names = sorted(catalog)
+        pairs = [(a, b) for a in names for b in names if a != b][:pair_count]
+        assert len(pairs) == pair_count
+        text = serialize_catalog(Catalog(schema=schema, views=catalog))
+        chunked = run_pairs_process(pairs, text, SearchLimits(), 2)
+        serial = run_pairs_serial(pairs, lambda p: dominates(catalog[p[0]], catalog[p[1]]))
+        assert {p: o[:2] for p, o in chunked.items()} == {
+            p: o[:2] for p, o in serial.items()
+        }
 
     def test_process_chunksize_heuristic(self):
-        from repro.engine import process_chunksize
-
-        # Explicit chunk sizes win and are floored at 1.
-        assert process_chunksize(240, 4, chunksize=7) == 7
-        assert process_chunksize(240, 4, chunksize=0) == 1
-        # The default targets about four chunks per worker.
+        # About four chunks per worker, floored at one pair per chunk.
         assert process_chunksize(240, 4) == 15
+        assert process_chunksize(100, 2) == 13
         assert process_chunksize(3, 4) == 1
         assert process_chunksize(0, 4) == 1
 
     def test_many_threads_on_one_catalog_object(self, random_catalog):
-        # Thread-safety of the shared capacities and memo tables: hammer one
-        # analyzer from several workers and require the serial answer.
+        # Thread-safety of the shared capacities and memo tables (the
+        # service's read workers share one analyzer): several threads
+        # decide the same cold matrix on one analyzer at once, switching
+        # often, and must each see the serial answer.
+        expected = CatalogAnalyzer(random_catalog).dominance_matrix()
         clear_caches()
-        analyzer = CatalogAnalyzer(random_catalog, jobs=max(JOBS, 4))
-        assert (
-            analyzer.dominance_matrix()
-            == CatalogAnalyzer(random_catalog, jobs=1).dominance_matrix()
-        )
+        analyzer = CatalogAnalyzer(random_catalog)
+        workers = max(JOBS, 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                matrices = list(
+                    pool.map(lambda _: analyzer.dominance_matrix(), range(workers))
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(matrix == expected for matrix in matrices)
 
 
 class TestSignatureDedup:
@@ -335,10 +366,10 @@ class TestSharedLimits:
     def test_starved_limits_identical_serial_and_parallel(self, small_catalog):
         limits = SearchLimits(max_candidates=2, max_subsets=3)
         serial = CatalogAnalyzer(small_catalog, limits=limits, jobs=1).dominance_matrix()
-        threaded = CatalogAnalyzer(
+        parallel = CatalogAnalyzer(
             small_catalog, limits=limits, jobs=JOBS
         ).dominance_matrix()
-        assert serial == threaded
+        assert serial == parallel
 
     def test_view_analyzer_adopts_capacity_limits(self, small_catalog):
         limits = SearchLimits(max_subsets=123)
@@ -374,8 +405,9 @@ class TestValidation:
     def test_rejects_bad_jobs_and_executor(self, small_catalog):
         with pytest.raises(CapacityError):
             CatalogAnalyzer(small_catalog, jobs=0)
-        with pytest.raises(CapacityError):
-            CatalogAnalyzer(small_catalog, executor="fibers")
+        # jobs alone picks the backend; there is no executor to choose.
+        with pytest.raises(TypeError):
+            CatalogAnalyzer(small_catalog, executor="thread")
 
 
 class TestColdPathPrechecks:

@@ -50,6 +50,17 @@ class TestParser:
         status, _ = run_cli([])
         assert status == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["catalog-analyze", "file.txt", "--executor", "thread"],
+            ["traffic", "--cache-warm"],
+        ],
+    )
+    def test_removed_flags_are_usage_errors(self, argv):
+        status, _ = run_cli(argv)
+        assert status == 2
+
 
 class TestAnalyze:
     def test_analyze_all_views(self, catalogue_file):

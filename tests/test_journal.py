@@ -573,21 +573,6 @@ class TestServiceIntegration:
         assert dict(result.views) == dict(history[result.version])
         assert result.verify() == []
 
-    def test_cache_warming_counts_prefetches_and_hits(self, tmp_path):
-        catalog, events = self.make_traffic(edit_rate=0.25)
-        lane = run_traffic(catalog, events, cache_warm=True)
-        metrics = lane["metrics"]
-        edits = metrics.edits
-        if edits:
-            assert metrics.warm_prefetches > 0
-        assert metrics.warm_hits <= metrics.served
-        warmed = metrics.to_dict()["warming"]
-        assert warmed == {
-            "prefetches": metrics.warm_prefetches,
-            "warm_hits": metrics.warm_hits,
-            "errors": metrics.warm_errors,
-        }
-
     def test_verify_recovery_harness(self, tmp_path):
         catalog, events = self.make_traffic(requests=30)
         report = verify_recovery(
@@ -726,12 +711,11 @@ class TestJournalCli:
         assert code == 2
         assert "--crash-at requires --journal" in out
 
-    def test_traffic_json_includes_journal_and_warming(self, tmp_path, capsys):
+    def test_traffic_json_includes_journal(self, tmp_path, capsys):
         path = str(tmp_path / "cli.jsonl")
         code, out = self.run_cli(
             ["traffic", "--requests", "40", "--edit-rate", "0.3", "--journal",
-             path, "--fsync", "per_record", "--cache-warm", "--json",
-             "--seed", "5"],
+             path, "--fsync", "per_record", "--json", "--seed", "5"],
             capsys,
         )
         assert code == 0
@@ -739,4 +723,3 @@ class TestJournalCli:
         assert payload["journal"]["fsync"] == "per_record"
         assert payload["journal"]["fsyncs"] == payload["journal"]["records"]
         assert payload["metrics"]["journal"] == payload["journal"]
-        assert "warming" in payload["metrics"]

@@ -562,7 +562,7 @@ class TestMetricsSchema:
             "missed_computing", "shed", "shed_rate", "latency_p50_s",
             "latency_p95_s", "queue_wait_p50_s", "queue_wait_p95_s",
             "queue_depth", "max_queue_depth", "throughput_rps", "uptime_s",
-            "scheduler", "reuse", "cache", "warming", "subscriptions",
+            "scheduler", "reuse", "cache", "subscriptions",
             "journal", "admission", "slo", "sampler",
         }
         assert set(snapshot["admission"]) == {

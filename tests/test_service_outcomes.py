@@ -65,8 +65,8 @@ TOTALS = (
     "missed_in_queue", "missed_computing", "shed", "max_queue_depth",
     "reuse_reused", "reuse_needed", "deltas_published", "deltas_delivered",
     "deltas_filtered", "deltas_superseded", "resyncs", "resyncs_overflow",
-    "resyncs_catchup", "resyncs_forced", "push_total_s", "warm_prefetches",
-    "warm_hits", "warm_errors", "admission_refused", "confidence_attached",
+    "resyncs_catchup", "resyncs_forced", "push_total_s", "admission_refused",
+    "confidence_attached",
 )
 
 
