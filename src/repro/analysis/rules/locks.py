@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Iterator, List, Optional, Set
+from typing import Iterator, List, Optional
 
 from repro.analysis.findings import Finding
 from repro.analysis.rules import Rule, register

@@ -12,7 +12,8 @@ matrix as one batched job:
   (:func:`repro.perf.signature.canonical_key`) realise the same query
   mappings and therefore have *equal capacities*: every dominance verdict of
   a class representative broadcasts to the whole class, shrinking the O(N²)
-  decision matrix to O(C²) for C signature classes.
+  decision matrix to O(C²) for C signature classes.  A single pair question
+  reads its representatives' decision directly and never builds the matrix.
 * **One shared limit object.**  The analyzer builds one
   :class:`~repro.views.capacity.QueryCapacity` per view from its single
   :class:`~repro.views.closure.SearchLimits`, and every batched decision and
@@ -208,6 +209,12 @@ class CatalogAnalyzer:
         more runs a process pool of that width, fed in chunks sized by
         :func:`repro.engine.parallel.process_chunksize`.  Process workers
         return verdicts, not witnesses.
+
+    The decision store holds one verdict per ordered pair of signature-class
+    representatives.  A pair question (:meth:`dominates`,
+    :meth:`equivalent`) reads one entry of that C×C table;
+    :meth:`dominance_matrix` broadcasts it to all N(N−1) cells, which only
+    the catalog-wide answers (core, classes, snapshots) need.
 
     One analyzer may be shared by several threads (the service's read
     workers do): the memo tables are lock-guarded and a decision is a pure
@@ -419,6 +426,43 @@ class CatalogAnalyzer:
 
         return self._broadcast_matrix(self._ensure_decided())
 
+    def _representative_pair(self, first: str, second: str) -> Pair:
+        """The class representatives of two names, their pairs decided."""
+
+        representative = self._ensure_decided()
+        return representative[first], representative[second]
+
+    def dominates(self, first: str, second: str) -> bool:
+        """Whether view ``first`` dominates view ``second`` (reflexive).
+
+        A probe of the signature-class decision table: the answer is the
+        verdict of the two names' class representatives, the same value
+        :meth:`dominance_matrix` broadcasts into the ``(first, second)``
+        cell.  It costs one scan of the signature classes and the decision
+        store — O(N + C²) for C classes when the store holds representative
+        pairs — instead of the matrix's O(N²).  A cold analyzer decides its
+        missing representative pairs first.
+        """
+
+        self.view(first), self.view(second)
+        if first == second:
+            return True
+        ra, rb = self._representative_pair(first, second)
+        return True if ra == rb else self._decisions[(ra, rb)][0]
+
+    def equivalent(self, first: str, second: str) -> bool:
+        """Whether the two views have equal capacity (mutual dominance),
+        probed from the signature-class decision table like :meth:`dominates`.
+        """
+
+        self.view(first), self.view(second)
+        if first == second:
+            return True
+        ra, rb = self._representative_pair(first, second)
+        if ra == rb:
+            return True
+        return self._decisions[(ra, rb)][0] and self._decisions[(rb, ra)][0]
+
     def dominance_witness(self, first: str, second: str) -> Optional[DominanceWitness]:
         """The stored witness for the representative pair of ``(first, second)``.
 
@@ -428,8 +472,7 @@ class CatalogAnalyzer:
         """
 
         self.view(first), self.view(second)
-        representative = self._ensure_decided()
-        ra, rb = representative[first], representative[second]
+        ra, rb = self._representative_pair(first, second)
         if ra == rb:
             return None
         return self._decisions[(ra, rb)][2]

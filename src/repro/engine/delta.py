@@ -43,7 +43,6 @@ from typing import (
     Iterable,
     List,
     Mapping,
-    Optional,
     Sequence,
     Tuple as PyTuple,
 )

@@ -1519,11 +1519,15 @@ class CatalogService:
 
         Base tier: exact answers through the shared analyzer — bit-identical
         to a direct serial ``CatalogAnalyzer`` run at the same version.
-        Reduced tier: membership runs the truncated search (positives are
-        sound witnesses, failed searches are explicit unknowns); the
-        catalog-level questions are served exactly when the analyzer's
-        matrix is already materialised (a table probe, effectively free) and
-        refused otherwise — a truncated matrix would risk wrong verdicts.
+        Dominance and equivalence reads probe the analyzer's signature-class
+        decision table (:meth:`CatalogAnalyzer.dominates` /
+        :meth:`~CatalogAnalyzer.equivalent`) and build no matrix; the core
+        read still builds the N×N matrix, because it needs the whole
+        relation.  Reduced tier: membership runs the truncated search
+        (positives are sound witnesses, failed searches are explicit
+        unknowns); the catalog-level questions are served exactly when every
+        representative pair is already decided and refused otherwise — a
+        truncated decision would risk wrong verdicts.
         """
 
         kind = request.kind
@@ -1551,21 +1555,9 @@ class CatalogService:
                     "a deadline or after the catalog matrix is warm",
                 )
         if kind == "dominance":
-            analyzer.view(request.subject), analyzer.view(request.other)
-            if request.subject == request.other:
-                return "ok", True, ""
-            matrix = analyzer.dominance_matrix()
-            return "ok", matrix[(request.subject, request.other)], ""
+            return "ok", analyzer.dominates(request.subject, request.other), ""
         if kind == "equivalence":
-            analyzer.view(request.subject), analyzer.view(request.other)
-            if request.subject == request.other:
-                return "ok", True, ""
-            matrix = analyzer.dominance_matrix()
-            both = (
-                matrix[(request.subject, request.other)]
-                and matrix[(request.other, request.subject)]
-            )
-            return "ok", both, ""
+            return "ok", analyzer.equivalent(request.subject, request.other), ""
         if kind == "view_report":
             report = analyzer.analyzer(request.subject).analyze()
             return "ok", report.to_dict(), ""

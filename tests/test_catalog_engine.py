@@ -98,12 +98,33 @@ def random_catalog():
     )
 
 
+@pytest.fixture
+def twin_catalog():
+    return dict(parse_catalog(TWIN_SIGNATURES.read_text()).views)
+
+
 def _per_pair_matrix(catalog, limits=SearchLimits()):
     return {
         (a, b): ViewAnalyzer(catalog[a], limits).dominates(catalog[b])
         for a in catalog
         for b in catalog
         if a != b
+    }
+
+
+def _check_pair_reads(analyzer):
+    """Pair reads made before ``analyzer`` builds its own matrix agree with
+    that matrix, and the matrix with a fresh analyzer's."""
+
+    names = analyzer.names
+    dominates = {(a, b): analyzer.dominates(a, b) for a in names for b in names}
+    equivalent = {(a, b): analyzer.equivalent(a, b) for a in names for b in names}
+    matrix = analyzer.dominance_matrix()
+    assert matrix == CatalogAnalyzer(analyzer.views).dominance_matrix()
+    assert all(dominates[(a, a)] is True for a in names)
+    assert {pair: held for pair, held in dominates.items() if pair[0] != pair[1]} == matrix
+    assert equivalent == {
+        (a, b): a == b or (matrix[(a, b)] and matrix[(b, a)]) for (a, b) in equivalent
     }
 
 
@@ -158,6 +179,68 @@ class TestCrossChecks:
             clear_caches()
         assert reports[True]["signature_classes"] == [["V2", "V4"]]
         assert reports[False] == reports[True]
+
+    @pytest.mark.parametrize("catalog", ["small_catalog", "random_catalog", "twin_catalog"])
+    def test_pair_reads_match_the_matrix(self, catalog, cache_mode, request):
+        views = request.getfixturevalue(catalog)
+        cold = CatalogAnalyzer(views)
+        for name in cold.names:
+            assert cold.dominates(name, name) and cold.equivalent(name, name)
+        assert cold.decision_reuse()[0] == 0  # a reflexive read decides nothing
+        _check_pair_reads(cold)
+        warm = CatalogAnalyzer(views)
+        warm.dominance_matrix()
+        # A renamed copy whose name sorts first joins the first class; where
+        # that class's head is already decided, the head stays put (sticky)
+        # and the copy is read through it.
+        source = views[warm.signature_classes()[0][-1]]
+        copy = source.renamed({n.name: f"{n.name}zz" for n in source.view_names})
+        sticky = warm.with_view("Aacopy", copy)
+        reused, needed = sticky.decision_reuse()
+        assert reused == needed  # the head kept its decisions
+        _check_pair_reads(sticky)
+        _check_pair_reads(warm.without_view(warm.names[0]))
+        _check_pair_reads(CatalogAnalyzer.from_decided_matrix(views, warm.dominance_matrix()))
+
+    def test_pair_reads_refuse_unknown_names_as_view_does(self, small_catalog, cache_mode):
+        analyzer = CatalogAnalyzer(small_catalog)
+        for read in (analyzer.dominates, analyzer.equivalent):
+            # The first unknown name is the one reported, the diagonal too.
+            for first, second in (
+                ("Nope", "Split"), ("Split", "Nope"), ("Nope", "Gone"), ("Nope", "Nope")
+            ):
+                with pytest.raises(CapacityError) as expected:
+                    analyzer.view("Nope")
+                with pytest.raises(CapacityError) as raised:
+                    read(first, second)
+                assert str(raised.value) == str(expected.value)
+        assert analyzer.decision_reuse()[0] == 0
+
+    @pytest.mark.parametrize("catalog", ["small_catalog", "random_catalog"])
+    def test_threads_driving_only_pair_reads(self, catalog, cache_mode, request):
+        # Four threads race one cold analyzer through dominates alone, each
+        # starting at a different pair and switching often; every thread
+        # must see the serial matrix.
+        views = request.getfixturevalue(catalog)
+        expected = CatalogAnalyzer(views).dominance_matrix()
+        clear_caches()
+        analyzer = CatalogAnalyzer(views)
+        pairs = sorted(expected)
+
+        def read_all(thread):
+            start = thread * len(pairs) // 4
+            order = pairs[start:] + pairs[:start]
+            return {pair: analyzer.dominates(*pair) for pair in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                answers = list(pool.map(read_all, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(answers) == 4
+        assert all(answer == expected for answer in answers)
 
 
 class TestParallelDeterminism:

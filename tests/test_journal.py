@@ -39,7 +39,6 @@ from repro.service import (
     FaultyFile,
     JournalCorruption,
     JournalError,
-    JournalWriteError,
     SimulatedCrash,
     flip_bit,
     recover_service,

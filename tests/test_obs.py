@@ -38,7 +38,6 @@ from repro.obs import (
     Span,
     Tracer,
     check_spans,
-    dump_spans,
     load_spans,
     trace_breakdown,
     validate_exposition,

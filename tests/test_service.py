@@ -110,6 +110,35 @@ class TestExactAnswers:
             assert response.version == 0
             assert response.tier == "base"
 
+    def test_warm_pair_reads_build_no_matrix(self, small_catalog, monkeypatch):
+        # A warm dominance or equivalence read probes the signature-class
+        # decision table; only the core read needs the whole N x N matrix.
+        builds = []
+        original = CatalogAnalyzer._broadcast_matrix
+
+        def counted(self, representative):
+            builds.append(representative)
+            return original(self, representative)
+
+        async def main():
+            async with CatalogService(small_catalog) as service:
+                await service.nonredundant_core()  # every pair decided
+                monkeypatch.setattr(CatalogAnalyzer, "_broadcast_matrix", counted)
+                counts = []
+                for read in (
+                    lambda: service.dominance("Joined", "Weak"),
+                    lambda: service.equivalence("Split", "Joined"),
+                    lambda: service.nonredundant_core(),
+                ):
+                    before = len(builds)
+                    response = await read()
+                    assert response.ok
+                    counts.append(len(builds) - before)
+                monkeypatch.undo()
+                return counts
+
+        assert run(main()) == [0, 0, 1]
+
     def test_unknown_view_is_explicit_refusal(self, small_catalog, q_schema):
         async def main():
             async with CatalogService(small_catalog) as service:
