@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import (
     Dict,
     Hashable,
@@ -212,14 +213,20 @@ class CatalogAnalyzer:
 
     The decision store holds one verdict per ordered pair of signature-class
     representatives.  A pair question (:meth:`dominates`,
-    :meth:`equivalent`) reads one entry of that C×C table;
-    :meth:`dominance_matrix` broadcasts it to all N(N−1) cells, which only
-    the catalog-wide answers (core, classes, snapshots) need.
+    :meth:`equivalent`) reads one entry of that C×C table.  The first
+    catalog-wide read (:meth:`dominance_matrix`, the core, the classes,
+    :meth:`snapshot`, :meth:`analyze`, :meth:`diff`) broadcasts it to all
+    N(N−1) cells once and keeps the result as a read-only mapping: an
+    analyzer is one catalog version, so its matrix never changes, and every
+    later catalog-wide read of the version reuses it.  An analyzer derived
+    by :meth:`with_view`/:meth:`without_view` or built by
+    :meth:`from_decided_matrix` starts with no matrix.
 
     One analyzer may be shared by several threads (the service's read
     workers do): the memo tables are lock-guarded and a decision is a pure
     function of its two views and the limits, so concurrent callers at
-    worst decide a pair twice.
+    worst decide a pair twice, and concurrent first catalog-wide readers at
+    worst build two equal matrices.
     """
 
     def __init__(
@@ -250,6 +257,9 @@ class CatalogAnalyzer:
         # Decided representative pairs, carried across incremental updates.
         self._decisions: Dict[Pair, PairOutcome] = {}
         self._signatures: Optional[Dict[str, Hashable]] = None
+        # This version's broadcast matrix, built by the first catalog-wide
+        # read (_matrix) and read-only from then on.
+        self._dominance: Optional[Mapping[Pair, bool]] = None
 
     # --------------------------------------------------------------- basics
     @property
@@ -415,16 +425,32 @@ class CatalogAnalyzer:
             _PROFILE.catalog_broadcast(broadcast)
         return matrix
 
-    def dominance_matrix(self) -> Dict[Pair, bool]:
+    def _matrix(self) -> Mapping[Pair, bool]:
+        """This version's matrix: broadcast on first use, then kept.
+
+        Once it exists every representative pair is decided, so no later
+        call can change a cell.  Two threads that both find it missing
+        build equal matrices, and either one may be the one kept.
+        """
+
+        matrix = self._dominance
+        if matrix is None:
+            matrix = MappingProxyType(self._broadcast_matrix(self._ensure_decided()))
+            self._dominance = matrix
+        return matrix
+
+    def dominance_matrix(self) -> Mapping[Pair, bool]:
         """Every ordered pair ``(a, b)`` of distinct names mapped to whether
-        ``a`` dominates ``b``.
+        ``a`` dominates ``b``, as a read-only mapping.
 
         Representative pairs are decided (in parallel when configured);
         verdicts broadcast across signature classes, and same-class pairs are
-        mutually dominant by equality of capacities.
+        mutually dominant by equality of capacities.  The first call builds
+        the matrix and every later catalog-wide read of this analyzer
+        returns the same mapping; assigning into it raises ``TypeError``.
         """
 
-        return self._broadcast_matrix(self._ensure_decided())
+        return self._matrix()
 
     def _representative_pair(self, first: str, second: str) -> Pair:
         """The class representatives of two names, their pairs decided."""
@@ -493,7 +519,22 @@ class CatalogAnalyzer:
         is deterministic.
         """
 
-        return core_from_matrix(self._views, self.dominance_matrix())
+        return self._core(self.dominance_matrix())
+
+    def _core(self, matrix: Mapping[Pair, bool]) -> PyTuple[str, ...]:
+        """The core of ``matrix`` read off the signature-class heads only.
+
+        Each class's head is its first-named member, and every member of a
+        class has the same matrix row and column.  A non-head is subsumed by
+        its own, lexicographically smaller, head.  A non-head that subsumes
+        a head shares its row with its own head, which is no later in name
+        order and so subsumes that head too.  The heads therefore keep
+        exactly the views :func:`core_from_matrix` keeps over all N names,
+        in O(C²) lookups for C classes instead of O(N²).
+        """
+
+        heads = sorted(members[0] for members in self.signature_classes())
+        return core_from_matrix(heads, matrix)
 
     def view_reports(self) -> Dict[str, ViewAnalysisReport]:
         """Full per-view reports, each through the shared capacity/limits."""
@@ -527,15 +568,17 @@ class CatalogAnalyzer:
         The base state a delta fold starts from, the payload a subscription
         *resync* carries and each side of a :meth:`diff`
         (:mod:`repro.engine.delta`); :meth:`analyze` reports from it too.
-        Decides any representative pair still missing, then builds the
-        matrix once and derives the core and classes from that one build.
+        The first catalog-wide read of the analyzer decides any
+        representative pair still missing and builds the matrix; a later
+        snapshot reuses that matrix and builds nothing.  The core comes
+        from the signature-class heads and the classes from the matrix.
         """
 
-        matrix = self._broadcast_matrix(self._ensure_decided())
+        matrix = self._matrix()
         return CatalogSnapshot(
             version=version,
             names=self.names,
-            nonredundant_core=core_from_matrix(self._views, matrix),
+            nonredundant_core=self._core(matrix),
             equivalence_classes=classes_from_matrix(self._views, matrix),
             dominance=matrix,
         )
@@ -549,8 +592,10 @@ class CatalogAnalyzer:
         diffs one :meth:`snapshot` of each analyzer, so it decides whatever
         representative pairs either side still lacks; the service's edit job
         relies on that to decide the new version's pairs.  Past the
-        decisions, the cost is one matrix build per side plus set
-        differences.
+        decisions, the cost is one matrix build for each side that has
+        none yet (at most one per analyzer) plus set differences; in the
+        service's edit stream ``previous`` built its matrix as the prior
+        edit's new version, so only this side builds.
         """
 
         return compute_delta(previous, self, version=version)
@@ -580,18 +625,27 @@ class CatalogAnalyzer:
 
         Pairs naming views absent from ``views`` are rejected — a matrix
         from the wrong catalog version must fail loudly, not seed stray
-        verdicts that broadcast wrongly later.
+        verdicts that broadcast wrongly later.  Of the rest, only the cells
+        between signature-class heads (each class's first-named member) are
+        stored, C(C−1) for C classes: with every head decided those heads
+        are the representatives, and the matrix broadcasts from their cells
+        alone, so storing the other cells would change no answer and only
+        lengthen every later representative scan.
         """
 
         analyzer = cls(views, limits=limits, jobs=jobs)
-        for (a, b), holds in matrix.items():
+        for a, b in matrix:
             if a not in analyzer._views or b not in analyzer._views:
                 raise CapacityError(
                     f"adopted matrix names a pair ({a!r}, {b!r}) outside the "
                     "catalog; the matrix and the views must come from the "
                     "same version"
                 )
-            analyzer._decisions[(a, b)] = (bool(holds), (), None)
+        heads = [members[0] for members in analyzer.signature_classes()]
+        for a in heads:
+            for b in heads:
+                if a != b and (a, b) in matrix:
+                    analyzer._decisions[(a, b)] = (bool(matrix[(a, b)]), (), None)
         return analyzer
 
     # ---------------------------------------------------------- incremental

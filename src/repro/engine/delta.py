@@ -22,11 +22,12 @@ that changed set:
   every intermediate version.
 
 The delta computer diffs one :class:`CatalogSnapshot` per analyzer: every
-field is a set difference between the two.  Taking a snapshot decides
-any representative pair its analyzer still lacks, so a diff over two
-analyzers whose pairs are already decided — the service decides them
-before it diffs — costs one matrix build per side plus the set
-differences (:meth:`CatalogAnalyzer.diff`).
+field is a set difference between the two.  An analyzer's first snapshot
+decides any representative pair it still lacks and builds its matrix; the
+analyzer keeps that matrix, so a later snapshot of it builds nothing.  In
+the service's edit stream the previous version built its matrix as the
+prior edit's new version, so a diff costs one matrix build (the new
+version's) plus the set differences (:meth:`CatalogAnalyzer.diff`).
 
 Topic names double as the subscription vocabulary of
 :mod:`repro.service.subscriptions`: a delta *matches* a topic when the

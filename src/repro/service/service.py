@@ -1323,8 +1323,9 @@ class CatalogService:
             reuse = derived.decision_reuse()
             # The diff's two snapshots decide both versions' pairs here, off
             # the event loop, so reads of the new version start warm.
-            # `previous` is already decided except at the first edit of a
-            # never-read catalog.  The diff's time opens the push latency.
+            # `previous` is already decided and keeps its matrix except at
+            # the first edit of a never-read catalog, so only `derived`
+            # builds one.  The diff's time opens the push latency.
             diff_started = self._clock()
             delta = derived.diff(previous, version=new_version)
             return derived, reuse, delta, self._clock() - diff_started
@@ -1409,8 +1410,9 @@ class CatalogService:
     def _checkpoint_payload(self, analyzer: CatalogAnalyzer, version: int):
         """The post-edit (catalog text, snapshot) pair a checkpoint records.
 
-        The edit's engine job already decided every pair, so the snapshot
-        decides nothing: it is one matrix build.
+        The edit's engine job already decided every pair and built the new
+        version's matrix in its diff, so the snapshot decides and builds
+        nothing: it reuses that matrix and derives the core and classes.
         """
 
         return catalog_text(analyzer.views), analyzer.snapshot(version)
@@ -1522,8 +1524,9 @@ class CatalogService:
         Dominance and equivalence reads probe the analyzer's signature-class
         decision table (:meth:`CatalogAnalyzer.dominates` /
         :meth:`~CatalogAnalyzer.equivalent`) and build no matrix; the core
-        read still builds the N×N matrix, because it needs the whole
-        relation.  Reduced tier: membership runs the truncated search
+        read takes the version's N×N matrix, built once by its first
+        catalog-wide read and kept, and reads the core off the
+        signature-class heads.  Reduced tier: membership runs the truncated search
         (positives are sound witnesses, failed searches are explicit
         unknowns); the catalog-level questions are served exactly when every
         representative pair is already decided and refused otherwise — a

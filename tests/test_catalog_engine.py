@@ -20,7 +20,7 @@ import pytest
 from repro import CatalogAnalyzer, ViewAnalyzer
 from repro.baselines.seed_engine import seed_closure_contains, seed_dominates
 from repro.catalog import Catalog, parse_catalog, serialize_catalog
-from repro.engine import process_chunksize, view_signature
+from repro.engine import core_from_matrix, process_chunksize, view_signature
 from repro.engine.parallel import run_pairs_process, run_pairs_serial
 from repro.exceptions import CapacityError
 from repro.perf import caches_enabled, clear_caches, configure
@@ -200,7 +200,115 @@ class TestCrossChecks:
         assert reused == needed  # the head kept its decisions
         _check_pair_reads(sticky)
         _check_pair_reads(warm.without_view(warm.names[0]))
-        _check_pair_reads(CatalogAnalyzer.from_decided_matrix(views, warm.dominance_matrix()))
+        adopted = CatalogAnalyzer.from_decided_matrix(views, warm.dominance_matrix())
+        # Recovery keeps only the cells between signature-class heads.
+        classes = len(adopted.signature_classes())
+        assert len(adopted._decisions) == classes * (classes - 1)
+        derived = adopted.with_view("Aacopy", copy)
+        assert len(derived._decisions) == classes * (classes - 1)
+        _check_pair_reads(adopted)
+        _check_pair_reads(derived)
+
+    @pytest.mark.parametrize(
+        "first",
+        ["dominance_matrix", "nonredundant_core", "equivalence_classes", "snapshot", "analyze", "diff"],
+    )
+    def test_catalog_wide_reads_build_the_matrix_once(
+        self, first, small_catalog, cache_mode, monkeypatch
+    ):
+        # Whichever catalog-wide read comes first builds the matrix; every
+        # other one, and a repeat of each, reuses it.
+        analyzer = CatalogAnalyzer(small_catalog)
+        previous = analyzer.without_view("Weak")
+        previous.dominance_matrix()
+        built_by = []
+        original = CatalogAnalyzer._broadcast_matrix
+
+        def counted(self, representative):
+            built_by.append(self)
+            return original(self, representative)
+
+        monkeypatch.setattr(CatalogAnalyzer, "_broadcast_matrix", counted)
+        reads = {
+            "dominance_matrix": analyzer.dominance_matrix,
+            "nonredundant_core": analyzer.nonredundant_core,
+            "equivalence_classes": analyzer.equivalence_classes,
+            "snapshot": lambda: analyzer.snapshot(3),
+            "analyze": analyzer.analyze,
+            "diff": lambda: analyzer.diff(previous, version=3),
+        }
+        reads[first]()
+        assert built_by == [analyzer]
+        for read in (*reads.values(), *reads.values()):
+            read()
+        assert built_by == [analyzer]
+        monkeypatch.undo()
+        matrix = analyzer.dominance_matrix()
+        assert analyzer.snapshot(3).dominance is matrix
+        assert analyzer.analyze().dominance is matrix
+        assert matrix == CatalogAnalyzer(small_catalog).dominance_matrix()
+
+    def test_matrix_is_read_only(self, small_catalog, cache_mode):
+        analyzer = CatalogAnalyzer(small_catalog)
+        matrix = analyzer.dominance_matrix()
+        pair = ("Weak", "Split")
+        with pytest.raises(TypeError):
+            matrix[pair] = True
+        with pytest.raises(TypeError):
+            analyzer.snapshot().dominance[pair] = True
+        assert matrix[pair] is False
+        assert analyzer.dominates(*pair) is False
+
+    @pytest.mark.parametrize("catalog", ["small_catalog", "random_catalog", "twin_catalog"])
+    def test_head_core_matches_the_full_scan(self, catalog, cache_mode, request):
+        # The core read off the signature-class heads equals the rule run
+        # over every name, including where a class's representative is not
+        # its head (a lexicographically smaller copy joined a decided class)
+        # and where starved budgets truncate the searches.
+        views = request.getfixturevalue(catalog)
+
+        def check(analyzer):
+            full = core_from_matrix(analyzer.names, analyzer.dominance_matrix())
+            assert analyzer.nonredundant_core() == full
+            assert analyzer.snapshot().nonredundant_core == full
+
+        warm = CatalogAnalyzer(views)
+        check(warm)
+        source = views[warm.signature_classes()[0][-1]]
+        copy = source.renamed({n.name: f"{n.name}zz" for n in source.view_names})
+        sticky = warm.with_view("Aacopy", copy)
+        check(sticky)
+        assert sticky.nonredundant_core() == CatalogAnalyzer(sticky.views).nonredundant_core()
+        check(warm.without_view(warm.names[0]))
+        check(CatalogAnalyzer.from_decided_matrix(views, warm.dominance_matrix()))
+        starved = SearchLimits(max_candidates=2, max_subsets=3)
+        check(CatalogAnalyzer(views, limits=starved))
+        check(CatalogAnalyzer(sticky.views, limits=starved))
+
+    @pytest.mark.parametrize("catalog", ["small_catalog", "random_catalog"])
+    def test_threads_racing_the_first_core_read(self, catalog, cache_mode, request):
+        # Four threads race the first core read of one cold analyzer,
+        # switching often; each may build the matrix, and every thread must
+        # see the serial matrix and core.
+        views = request.getfixturevalue(catalog)
+        serial = CatalogAnalyzer(views)
+        expected = (dict(serial.dominance_matrix()), serial.nonredundant_core())
+        clear_caches()
+        analyzer = CatalogAnalyzer(views)
+
+        def read(_):
+            core = analyzer.nonredundant_core()
+            return dict(analyzer.dominance_matrix()), core
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                answers = list(pool.map(read, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(answers) == 4
+        assert all(answer == expected for answer in answers)
 
     def test_pair_reads_refuse_unknown_names_as_view_does(self, small_catalog, cache_mode):
         analyzer = CatalogAnalyzer(small_catalog)

@@ -110,9 +110,10 @@ class TestExactAnswers:
             assert response.version == 0
             assert response.tier == "base"
 
-    def test_warm_pair_reads_build_no_matrix(self, small_catalog, monkeypatch):
+    def test_warm_reads_build_no_matrix(self, small_catalog, monkeypatch):
         # A warm dominance or equivalence read probes the signature-class
-        # decision table; only the core read needs the whole N x N matrix.
+        # decision table, and a warm core read reuses the matrix the
+        # version built on its first core read.
         builds = []
         original = CatalogAnalyzer._broadcast_matrix
 
@@ -137,7 +138,7 @@ class TestExactAnswers:
                 monkeypatch.undo()
                 return counts
 
-        assert run(main()) == [0, 0, 1]
+        assert run(main()) == [0, 0, 0]
 
     def test_unknown_view_is_explicit_refusal(self, small_catalog, q_schema):
         async def main():
@@ -349,12 +350,13 @@ class TestEditStream:
         assert version == 0  # the failed edit did not bump the version
         assert core.ok
 
-    def test_steady_state_edit_builds_the_matrix_twice(
+    def test_steady_state_edit_builds_the_matrix_once(
         self, small_catalog, q_schema, monkeypatch
     ):
-        # One edit: a representative scan for the reuse count, then one scan
-        # and one matrix build per version for the diff's two snapshots,
-        # which also decide the new version's pairs.
+        # One edit: a representative scan for the reuse count, then the
+        # diff's two snapshots.  The previous version kept the matrix it
+        # built as the prior edit's new version; the new version's snapshot
+        # scans once, decides its pairs and builds its matrix once.
         extra = View(
             [(parse_expression("pi{B}(q)", q_schema), RelationName("Z1", "B"))],
             q_schema,
@@ -382,7 +384,7 @@ class TestEditStream:
 
         response = run(main())
         assert response.ok and response.answer["version"] == 2
-        assert calls == {"_broadcast_matrix": 2, "_representatives": 3}
+        assert calls == {"_broadcast_matrix": 1, "_representatives": 2}
 
     def test_push_latency_counts_the_diff_in_the_engine_job(
         self, small_catalog, q_schema, monkeypatch
