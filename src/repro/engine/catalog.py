@@ -13,7 +13,9 @@ matrix as one batched job:
   mappings and therefore have *equal capacities*: every dominance verdict of
   a class representative broadcasts to the whole class, shrinking the O(N²)
   decision matrix to O(C²) for C signature classes.  A single pair question
-  reads its representatives' decision directly and never builds the matrix.
+  reads its representatives' decision directly and never builds the matrix;
+  once decided, a catalog version's representative map is frozen, so the
+  read is a few dictionary lookups.
 * **One shared limit object.**  The analyzer builds one
   :class:`~repro.views.capacity.QueryCapacity` per view from its single
   :class:`~repro.views.closure.SearchLimits`, and every batched decision and
@@ -61,9 +63,9 @@ from repro.core.report import ViewAnalysisReport
 from repro.engine.delta import (
     CatalogDelta,
     CatalogSnapshot,
-    classes_from_matrix,
     compute_delta,
     core_from_matrix,
+    linked_classes,
 )
 from repro.engine.parallel import (
     Pair,
@@ -212,21 +214,28 @@ class CatalogAnalyzer:
         return verdicts, not witnesses.
 
     The decision store holds one verdict per ordered pair of signature-class
-    representatives.  A pair question (:meth:`dominates`,
-    :meth:`equivalent`) reads one entry of that C×C table.  The first
-    catalog-wide read (:meth:`dominance_matrix`, the core, the classes,
-    :meth:`snapshot`, :meth:`analyze`, :meth:`diff`) broadcasts it to all
-    N(N−1) cells once and keeps the result as a read-only mapping: an
-    analyzer is one catalog version, so its matrix never changes, and every
-    later catalog-wide read of the version reuses it.  An analyzer derived
+    representatives.  An analyzer is one catalog version, so it freezes its
+    read model as it goes: the signature classes are grouped once, and the
+    first call that needs every representative pair decided (any pair
+    question or catalog-wide read) decides what is missing and keeps the
+    name → representative map.  A later pair question (:meth:`dominates`,
+    :meth:`equivalent`, :meth:`dominance_witness`) is then two lookups in
+    that map and one in the C×C table, and :meth:`decision_reuse` a stored
+    count.  The first catalog-wide read (:meth:`dominance_matrix`, the
+    core, the classes, :meth:`snapshot`, :meth:`analyze`, :meth:`diff`)
+    broadcasts the table to all N(N−1) cells once and keeps the result as a
+    read-only mapping (:attr:`warm` says whether it exists); every later
+    catalog-wide read of the version reuses it, and the core and the
+    classes are read off the C signature-class heads.  An analyzer derived
     by :meth:`with_view`/:meth:`without_view` or built by
-    :meth:`from_decided_matrix` starts with no matrix.
+    :meth:`from_decided_matrix` starts with none of this but the signatures
+    and decisions of unchanged views.
 
     One analyzer may be shared by several threads (the service's read
     workers do): the memo tables are lock-guarded and a decision is a pure
     function of its two views and the limits, so concurrent callers at
-    worst decide a pair twice, and concurrent first catalog-wide readers at
-    worst build two equal matrices.
+    worst decide a pair twice, and concurrent first readers at worst build
+    two equal classes tuples, representative maps or matrices.
     """
 
     def __init__(
@@ -256,9 +265,15 @@ class CatalogAnalyzer:
         }
         # Decided representative pairs, carried across incremental updates.
         self._decisions: Dict[Pair, PairOutcome] = {}
-        self._signatures: Optional[Dict[str, Hashable]] = None
-        # This version's broadcast matrix, built by the first catalog-wide
-        # read (_matrix) and read-only from then on.
+        # Capacity signatures by name, carried across incremental updates
+        # for the views they leave unchanged.
+        self._signatures: Dict[str, Hashable] = {}
+        # This version's read model.  Each part is computed once and never
+        # changes: the signature classes, the name -> representative map
+        # frozen by the first _ensure_decided(), and the broadcast matrix
+        # built by the first catalog-wide read (_matrix).
+        self._classes: Optional[PyTuple[PyTuple[str, ...], ...]] = None
+        self._representative: Optional[Dict[str, str]] = None
         self._dominance: Optional[Mapping[Pair, bool]] = None
 
     # --------------------------------------------------------------- basics
@@ -306,22 +321,28 @@ class CatalogAnalyzer:
 
     # --------------------------------------------------------- signatures
     def _signature_of(self, name: str) -> Hashable:
-        if self._signatures is None:
-            self._signatures = {}
-        if name not in self._signatures:
-            self._signatures[name] = view_signature(self._views[name])
-        return self._signatures[name]
+        signature = self._signatures.get(name)
+        if signature is None:
+            signature = self._signatures[name] = view_signature(self._views[name])
+        return signature
 
     def signature_classes(self) -> PyTuple[PyTuple[str, ...], ...]:
-        """Catalog names grouped by capacity signature (sorted, deterministic)."""
+        """Catalog names grouped by capacity signature (sorted, deterministic).
 
-        groups: Dict[Hashable, List[str]] = {}
-        for name in self._views:
-            groups.setdefault(self._signature_of(name), []).append(name)
-        return tuple(
-            tuple(sorted(members))
-            for members in sorted(groups.values(), key=lambda m: min(m))
-        )
+        Computed on the first call and kept: the same tuple on every later
+        call of this analyzer.
+        """
+
+        classes = self._classes
+        if classes is None:
+            groups: Dict[Hashable, List[str]] = {}
+            for name in self._views:
+                groups.setdefault(self._signature_of(name), []).append(name)
+            classes = self._classes = tuple(
+                tuple(sorted(members))
+                for members in sorted(groups.values(), key=lambda m: min(m))
+            )
+        return classes
 
     def _representatives(self) -> Dict[str, str]:
         """Map every catalog name to its signature class representative.
@@ -377,17 +398,22 @@ class CatalogAnalyzer:
         """``(already_decided, needed)`` representative pairs for the matrix.
 
         ``needed`` is the number of ordered representative pairs the current
-        catalog's dominance matrix requires; ``already_decided`` counts how
-        many of them are in the decision store right now — carried over from
-        an incremental :meth:`with_view`/:meth:`without_view` derivation or
-        decided by an earlier call.  ``already_decided == needed`` means the
-        matrix is fully materialised; the ratio is the decision-reuse rate
-        that :class:`repro.service.CatalogService` reports per catalog edit.
+        catalog's dominance matrix requires, C(C−1) for C signature classes;
+        ``already_decided`` counts how many of them are in the decision store
+        right now — carried over from an incremental
+        :meth:`with_view`/:meth:`without_view` derivation or decided by an
+        earlier call.  ``already_decided == needed`` means the matrix is
+        fully materialised; the ratio is the decision-reuse rate that
+        :class:`repro.service.CatalogService` reports per catalog edit.  Once
+        the representative map is frozen every pair is decided, and the
+        answer is ``(needed, needed)`` without a scan.
         """
 
-        representative = self._representatives()
-        heads = sorted(set(representative.values()))
-        needed = len(heads) * (len(heads) - 1)
+        classes = len(self.signature_classes())
+        needed = classes * (classes - 1)
+        if self._representative is not None:
+            return needed, needed
+        heads = set(self._representatives().values())
         already = sum(
             1
             for a in heads
@@ -397,6 +423,19 @@ class CatalogAnalyzer:
         return already, needed
 
     def _ensure_decided(self) -> Dict[str, str]:
+        """Decide every representative pair still missing; the name ->
+        representative map.
+
+        The first call scans the signature classes and the decision store,
+        decides what is pending and freezes the map; later calls return it
+        without a scan.  The frozen map is the one a rescan would give: each
+        class's head is its first member found in the store, every head is
+        in the store once its pairs are decided, and the store only grows.
+        """
+
+        representative = self._representative
+        if representative is not None:
+            return representative
         representative = self._representatives()
         heads = sorted(set(representative.values()))
         pending = [
@@ -408,21 +447,25 @@ class CatalogAnalyzer:
         if pending and _PROFILE.enabled:
             _PROFILE.catalog_decided(len(pending))
         self._decisions.update(self._run_pairs(pending))
+        self._representative = representative
         return representative
 
     def _broadcast_matrix(self, representative: Dict[str, str]) -> Dict[Pair, bool]:
-        matrix: Dict[Pair, bool] = {}
-        broadcast = 0
-        for a in self._views:
-            for b in self._views:
-                if a == b:
-                    continue
-                ra, rb = representative[a], representative[b]
-                if ra == rb or a != ra or b != rb:
-                    broadcast += 1
-                matrix[(a, b)] = True if ra == rb else self._decisions[(ra, rb)][0]
-        if broadcast and _PROFILE.enabled:
-            _PROFILE.catalog_broadcast(broadcast)
+        decisions = self._decisions
+        pairs = [(name, representative[name]) for name in self._views]
+        matrix = {
+            (a, b): True if ra == rb else decisions[(ra, rb)][0]
+            for a, ra in pairs
+            for b, rb in pairs
+            if a != b
+        }
+        if _PROFILE.enabled:
+            # Every cell but the C(C−1) between distinct representatives is
+            # broadcast from a decision made for another pair.
+            n, c = len(pairs), len(set(representative.values()))
+            broadcast = n * (n - 1) - c * (c - 1)
+            if broadcast:
+                _PROFILE.catalog_broadcast(broadcast)
         return matrix
 
     def _matrix(self) -> Mapping[Pair, bool]:
@@ -452,6 +495,18 @@ class CatalogAnalyzer:
 
         return self._matrix()
 
+    @property
+    def warm(self) -> bool:
+        """Whether this version's matrix is kept, and with it every
+        representative pair decided.
+
+        Then every pair question and core read is table lookups only: no
+        search and no matrix build.  Read-only; the first catalog-wide read
+        makes an analyzer warm and nothing makes it cold again.
+        """
+
+        return self._dominance is not None
+
     def _representative_pair(self, first: str, second: str) -> Pair:
         """The class representatives of two names, their pairs decided."""
 
@@ -464,10 +519,10 @@ class CatalogAnalyzer:
         A probe of the signature-class decision table: the answer is the
         verdict of the two names' class representatives, the same value
         :meth:`dominance_matrix` broadcasts into the ``(first, second)``
-        cell.  It costs one scan of the signature classes and the decision
-        store — O(N + C²) for C classes when the store holds representative
-        pairs — instead of the matrix's O(N²).  A cold analyzer decides its
-        missing representative pairs first.
+        cell.  Once the representative map is frozen it costs two map
+        lookups and one decision lookup, whatever N; a cold analyzer first
+        scans the signature classes and the decision store and decides its
+        missing representative pairs.
         """
 
         self.view(first), self.view(second)
@@ -507,7 +562,36 @@ class CatalogAnalyzer:
     def equivalence_classes(self) -> PyTuple[PyTuple[str, ...], ...]:
         """Maximal groups of mutually dominant (capacity-equal) views."""
 
-        return classes_from_matrix(self._views, self.dominance_matrix())
+        return self._equivalence_classes(self.dominance_matrix())
+
+    def _equivalence_classes(
+        self, matrix: Mapping[Pair, bool]
+    ) -> PyTuple[PyTuple[str, ...], ...]:
+        """The classes of ``matrix`` read off the signature-class heads only.
+
+        Every member of a signature class has its head's matrix row and
+        column and is mutually dominant with its head, so two views are
+        equivalent exactly when their heads are.  Union-find over the C
+        heads' mutual-dominance cells, each head then expanded to its class,
+        gives :func:`~repro.engine.delta.classes_from_matrix`'s classes in
+        the same order, in O(C² + N) instead of O(N²).
+        """
+
+        members = {group[0]: group for group in self.signature_classes()}
+        heads = list(members)
+        head_classes = linked_classes(
+            heads,
+            (
+                (a, b)
+                for i, a in enumerate(heads)
+                for b in heads[i + 1 :]
+                if matrix[(a, b)] and matrix[(b, a)]
+            ),
+        )
+        return tuple(
+            tuple(sorted(name for head in group for name in members[head]))
+            for group in head_classes
+        )
 
     def nonredundant_core(self) -> PyTuple[str, ...]:
         """A minimal dominating subset of the catalog (redundancy elimination).
@@ -570,8 +654,8 @@ class CatalogAnalyzer:
         (:mod:`repro.engine.delta`); :meth:`analyze` reports from it too.
         The first catalog-wide read of the analyzer decides any
         representative pair still missing and builds the matrix; a later
-        snapshot reuses that matrix and builds nothing.  The core comes
-        from the signature-class heads and the classes from the matrix.
+        snapshot reuses that matrix and builds nothing.  The core and the
+        classes are both read off the signature-class heads.
         """
 
         matrix = self._matrix()
@@ -579,7 +663,7 @@ class CatalogAnalyzer:
             version=version,
             names=self.names,
             nonredundant_core=self._core(matrix),
-            equivalence_classes=classes_from_matrix(self._views, matrix),
+            equivalence_classes=self._equivalence_classes(matrix),
             dominance=matrix,
         )
 
@@ -651,15 +735,19 @@ class CatalogAnalyzer:
     # ---------------------------------------------------------- incremental
     def _derive(self, views: Dict[str, View]) -> "CatalogAnalyzer":
         derived = CatalogAnalyzer(views, limits=self._limits, jobs=self._jobs)
-        # Decisions are pure functions of the two views and the limits, so
-        # every decided pair whose views are unchanged carries over.  The
-        # snapshot copy lets a service thread keep deciding pairs on *this*
-        # analyzer concurrently: iterating the live dict while another
-        # thread bulk-inserts would raise RuntimeError mid-derivation.
+        # Decisions are pure functions of the two views and the limits, and a
+        # signature of its one view, so every decided pair and signature
+        # whose views are unchanged carries over.  The snapshot copies let a
+        # service thread keep deciding pairs on *this* analyzer concurrently:
+        # iterating a live dict while another thread inserts would raise
+        # RuntimeError mid-derivation.
+        unchanged = {name for name, view in views.items() if view is self._views.get(name)}
         for (a, b), outcome in dict(self._decisions).items():
-            if a in views and b in views:
-                if views[a] is self._views.get(a) and views[b] is self._views.get(b):
-                    derived._decisions[(a, b)] = outcome
+            if a in unchanged and b in unchanged:
+                derived._decisions[(a, b)] = outcome
+        for name, signature in dict(self._signatures).items():
+            if name in unchanged:
+                derived._signatures[name] = signature
         return derived
 
     def with_view(self, name: str, view: View) -> "CatalogAnalyzer":

@@ -63,6 +63,7 @@ __all__ = [
     "fold_classes",
     "fold_core",
     "fold_matrix",
+    "linked_classes",
 ]
 
 #: An ordered pair of catalog view names (the dominance-matrix key shape).
@@ -90,15 +91,13 @@ VIEW_REPORT_PREFIX = "view_report:"
 
 
 # --------------------------------------------------------- pure derivations
-def classes_from_matrix(
-    names: Iterable[str], matrix: Mapping[Pair, bool]
+def linked_classes(
+    names: Iterable[str], links: Iterable[Pair]
 ) -> PyTuple[PyTuple[str, ...], ...]:
-    """Maximal mutual-dominance groups of ``names`` under ``matrix``.
+    """The groups of ``names`` connected by the ``links`` pairs (union-find).
 
-    The same union-find :meth:`CatalogAnalyzer.equivalence_classes` runs on
-    its broadcast matrix, exposed as a pure function so a delta fold can
-    re-derive classes from a folded matrix without an analyzer.  Output is
-    deterministic: members sorted within a class, classes sorted by head.
+    Output is deterministic: members sorted within a class, classes sorted
+    by head.
     """
 
     parent = {name: name for name in names}
@@ -109,17 +108,34 @@ def classes_from_matrix(
             x = parent[x]
         return x
 
-    for (a, b), holds in matrix.items():
-        if holds and matrix[(b, a)]:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
+    for a, b in links:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
     groups: Dict[str, List[str]] = {}
     for name in parent:
         groups.setdefault(find(name), []).append(name)
     return tuple(
         tuple(sorted(members))
         for members in sorted(groups.values(), key=lambda m: min(m))
+    )
+
+
+def classes_from_matrix(
+    names: Iterable[str], matrix: Mapping[Pair, bool]
+) -> PyTuple[PyTuple[str, ...], ...]:
+    """Maximal mutual-dominance groups of ``names`` under ``matrix``.
+
+    A pure function over every cell, so a delta fold and the recovery
+    cross-check can re-derive classes from a folded matrix without an
+    analyzer; :meth:`CatalogAnalyzer.equivalence_classes` gives the same
+    classes from its signature-class heads alone.  Output is deterministic:
+    members sorted within a class, classes sorted by head.
+    """
+
+    return linked_classes(
+        names,
+        ((a, b) for (a, b), holds in matrix.items() if holds and matrix[(b, a)]),
     )
 
 

@@ -20,11 +20,18 @@ Design:
   of computing doomed answers; ``"fifo"`` is the static
   ``(priority, submission order)`` baseline (see
   :mod:`repro.service.scheduler`).
-* **Reads fan out, edits serialize.**  Read requests are handed to a
-  thread-pool executor (``jobs`` workers) over the engine's lock-guarded
-  memo tables and run concurrently; edit requests are applied by the
-  dispatcher itself — one at a time, never overlapping another edit — and
-  swap the service's analyzer for the incrementally derived one.  An edit's
+* **Probes inline, searches fan out, edits serialize.**  A dominance,
+  equivalence or core read of a *warm* catalog version (one whose matrix
+  is kept, :attr:`CatalogAnalyzer.warm`, so every representative pair is
+  decided) is a few table lookups: the dispatcher answers it itself, on
+  the event loop, with no executor hop.  Every other read — membership,
+  view reports, and any read of a version still cold — may search, so it
+  is handed to a thread-pool executor (``jobs`` workers) over the engine's
+  lock-guarded memo tables and runs concurrently.  Both paths run the same
+  serve body: tier choice, answer, refusal of engine errors, completion.
+  Edit requests are applied by the dispatcher itself — one at a time,
+  never overlapping another edit — and swap the service's analyzer for the
+  incrementally derived one.  An edit's
   engine work (derive, count reuse, diff the two versions, which decides
   both versions' pairs) is one executor job, and a failure anywhere in it
   refuses the edit with the catalog unchanged.  Reads already in flight
@@ -131,6 +138,11 @@ from repro.views.view import View
 
 __all__ = ["CatalogService"]
 
+#: Read kinds answered from the catalog version's decision table alone.  On
+#: a warm version (:attr:`CatalogAnalyzer.warm`) they are lookups, served
+#: inline on the event loop; every other read searches, on the pool.
+_TABLE_READS = frozenset({"dominance", "equivalence", "nonredundant_core"})
+
 #: Latency samples kept for the percentile snapshot.  A bounded recent
 #: window keeps a long-lived service's memory and metrics() cost constant;
 #: p50/p95 over the window track the current behaviour, which is what an
@@ -217,7 +229,9 @@ class CatalogService:
         serial ``CatalogAnalyzer(views, limits=limits)`` run on the same
         catalog version.
     jobs:
-        Thread-pool workers serving read requests concurrently.
+        Thread-pool workers serving, concurrently, the reads that may
+        search: membership, view reports and any read of a cold catalog
+        version.  Table probes of a warm version need no worker.
     queue_limit:
         Admission-queue bound; submissions beyond it are refused.
     scheduler:
@@ -1083,6 +1097,11 @@ class CatalogService:
                 # dispatched earlier keep running on the analyzer they
                 # captured; reads dispatched later see the new version.
                 await self._apply_edit(item)
+            elif item.request.kind in _TABLE_READS and self._analyzer.warm:
+                # A table probe of a version whose matrix is kept is a few
+                # lookups, no search: served right here on the event loop
+                # (it never awaits), skipping the pool's two thread hops.
+                await self._serve(item, None)
             else:
                 while len(self._serve_tasks) >= max_inflight:
                     await asyncio.wait(
@@ -1446,7 +1465,16 @@ class CatalogService:
             pass
 
     # ------------------------------------------------------------ read path
-    async def _serve(self, item: _WorkItem, order_key) -> None:
+    async def _serve(self, item: _WorkItem, order_key: Optional[tuple]) -> None:
+        """Serve one read: tier choice, the answer, then ``_finish``.
+
+        With an ``order_key`` the answer is computed on the ordered pool at
+        that key; with ``None`` it is computed inline, on the event loop,
+        which :meth:`_dispatch` chooses only for a table probe of a warm
+        version, so nothing here awaits and no search runs on the loop.
+        Either way the same prologue, error handling and completion apply.
+        """
+
         request = item.request
         waited = self._clock() - item.enqueued
         # The budget tier is chosen from the *remaining* deadline here at
@@ -1479,17 +1507,21 @@ class CatalogService:
         if marks is None:
             job = lambda: self._answer(analyzer, request, tier, limits)  # noqa: E731
         else:
-            # The worker thread stamps the moment compute actually starts
-            # (closing the dispatch span) with the same service clock —
-            # time.monotonic is cross-thread consistent.
+            # The thread that computes stamps the moment compute actually
+            # starts (closing the dispatch span, about zero for an inline
+            # read) with the same service clock — time.monotonic is
+            # cross-thread consistent.
             def job(marks=marks):
                 marks.compute_started = self._clock()
                 return self._answer(analyzer, request, tier, limits)
 
         try:
-            status, answer, reason = await asyncio.wrap_future(
-                self._pool.submit(order_key, job)
-            )
+            if order_key is None:
+                status, answer, reason = job()
+            else:
+                status, answer, reason = await asyncio.wrap_future(
+                    self._pool.submit(order_key, job)
+                )
         except Exception as error:  # noqa: BLE001 — never leave a caller hanging
             # An engine error (unknown view, bad query) is refused with its
             # own message; anything else is reported as internal.  The
@@ -1517,7 +1549,8 @@ class CatalogService:
         tier: str,
         limits: SearchLimits,
     ):
-        """Compute one read answer (runs on an executor thread).
+        """Compute one read answer: on a pool thread, or inline on the event
+        loop for a table probe of a warm version (see :meth:`_serve`).
 
         Base tier: exact answers through the shared analyzer — bit-identical
         to a direct serial ``CatalogAnalyzer`` run at the same version.

@@ -17,10 +17,16 @@ from pathlib import Path
 
 import pytest
 
+import repro.engine.catalog as catalog_module
 from repro import CatalogAnalyzer, ViewAnalyzer
 from repro.baselines.seed_engine import seed_closure_contains, seed_dominates
 from repro.catalog import Catalog, parse_catalog, serialize_catalog
-from repro.engine import core_from_matrix, process_chunksize, view_signature
+from repro.engine import (
+    classes_from_matrix,
+    core_from_matrix,
+    process_chunksize,
+    view_signature,
+)
 from repro.engine.parallel import run_pairs_process, run_pairs_serial
 from repro.exceptions import CapacityError
 from repro.perf import caches_enabled, clear_caches, configure
@@ -268,9 +274,13 @@ class TestCrossChecks:
         views = request.getfixturevalue(catalog)
 
         def check(analyzer):
-            full = core_from_matrix(analyzer.names, analyzer.dominance_matrix())
+            matrix = analyzer.dominance_matrix()
+            full = core_from_matrix(analyzer.names, matrix)
             assert analyzer.nonredundant_core() == full
             assert analyzer.snapshot().nonredundant_core == full
+            classes = classes_from_matrix(analyzer.names, matrix)
+            assert analyzer.equivalence_classes() == classes
+            assert analyzer.snapshot().equivalence_classes == classes
 
         warm = CatalogAnalyzer(views)
         check(warm)
@@ -284,6 +294,35 @@ class TestCrossChecks:
         starved = SearchLimits(max_candidates=2, max_subsets=3)
         check(CatalogAnalyzer(views, limits=starved))
         check(CatalogAnalyzer(sticky.views, limits=starved))
+
+    def test_classes_never_scan_the_matrix(self, small_catalog, q_schema, monkeypatch):
+        # snapshot(), equivalence_classes() and diff() read the classes off
+        # the signature-class heads; classes_from_matrix, the pass over all
+        # N(N-1) cells, is left to delta folds and recovery cross-checks.
+        calls = []
+
+        def counted(names, matrix):
+            calls.append(names)
+            return classes_from_matrix(names, matrix)
+
+        for name, module in list(sys.modules.items()):
+            bound = getattr(module, "classes_from_matrix", None)
+            if name.startswith("repro") and bound is classes_from_matrix:
+                monkeypatch.setattr(module, "classes_from_matrix", counted)
+        extra = View(
+            [(parse_expression("pi{B}(q)", q_schema), RelationName("Z1", "B"))],
+            q_schema,
+        )
+        analyzer = CatalogAnalyzer(small_catalog)
+        derived = analyzer.with_view("Extra", extra)
+        classes = analyzer.equivalence_classes()
+        snapshot = analyzer.snapshot(0)
+        delta = derived.diff(analyzer, version=1)
+        assert calls == []
+        monkeypatch.undo()
+        assert classes == snapshot.equivalence_classes
+        assert classes == classes_from_matrix(analyzer.names, analyzer.dominance_matrix())
+        assert set(delta.classes_formed) == set(derived.equivalence_classes()) - set(classes)
 
     @pytest.mark.parametrize("catalog", ["small_catalog", "random_catalog"])
     def test_threads_racing_the_first_core_read(self, catalog, cache_mode, request):
@@ -455,13 +494,36 @@ class TestIncremental:
         updated = {**small_catalog, "Weak": grown}
         assert incremental == CatalogAnalyzer(updated).dominance_matrix()
 
-    def test_decision_reuse_counts(self, small_catalog, q_schema):
+    def test_decision_reuse_counts(self, small_catalog, q_schema, monkeypatch):
         analyzer = CatalogAnalyzer(small_catalog)
         present, needed = analyzer.decision_reuse()
         assert present == 0 and needed > 0
         analyzer.dominance_matrix()
         present, needed = analyzer.decision_reuse()
         assert present == needed  # fully materialised
+        # Once decided, the version's representative map is frozen: no pair
+        # read and no reuse count rescans the signature classes, and the
+        # classes themselves are grouped once.
+        scans = []
+        original = CatalogAnalyzer._representatives
+        monkeypatch.setattr(
+            CatalogAnalyzer, "_representatives", lambda self: scans.append(self) or original(self)
+        )
+        reads = {
+            "dominates": lambda: analyzer.dominates("Joined", "Weak"),
+            "equivalent": lambda: analyzer.equivalent("Split", "Copy"),
+            "dominance_witness": lambda: analyzer.dominance_witness("Joined", "Weak"),
+            "decision_reuse": analyzer.decision_reuse,
+        }
+        counts = {}
+        for name, read in reads.items():
+            before = len(scans)
+            read()
+            counts[name] = len(scans) - before
+        monkeypatch.undo()
+        assert counts == dict.fromkeys(reads, 0)
+        assert analyzer.decision_reuse() == (needed, needed)
+        assert analyzer.signature_classes() is analyzer.signature_classes()
         # A renamed copy whose name sorts after its original keeps the old
         # representative: the derived analyzer inherits every decision.
         copy = small_catalog["Split"].renamed({"W1": "X1", "W2": "X2"})
@@ -472,6 +534,56 @@ class TestIncremental:
         shrunk = analyzer.without_view("Weak")
         present, needed = shrunk.decision_reuse()
         assert present == needed
+
+    def test_warm_once_the_matrix_is_kept(self, small_catalog):
+        # A pair read decides the pairs and freezes the representative map,
+        # but only a catalog-wide read keeps the matrix that makes the
+        # version warm; derived and adopted analyzers start cold.
+        analyzer = CatalogAnalyzer(small_catalog)
+        assert not analyzer.warm
+        analyzer.dominates("Joined", "Weak")
+        assert not analyzer.warm
+        analyzer.nonredundant_core()
+        assert analyzer.warm
+        assert not analyzer.without_view("Weak").warm
+        adopted = CatalogAnalyzer.from_decided_matrix(small_catalog, analyzer.dominance_matrix())
+        assert not adopted.warm
+        adopted.snapshot()
+        assert adopted.warm
+
+    def test_derived_analyzer_signs_only_changed_views(
+        self, small_catalog, q_schema, monkeypatch
+    ):
+        # Signatures of views a derivation keeps carry over; an added or
+        # replaced view is signed once, a drop signs nothing.
+        analyzer = CatalogAnalyzer(small_catalog)
+        analyzer.signature_classes()
+        signed = []
+        monkeypatch.setattr(
+            catalog_module,
+            "view_signature",
+            lambda view: signed.append(view) or view_signature(view),
+        )
+        copy = small_catalog["Split"].renamed({"W1": "X1", "W2": "X2"})
+        grown = View(
+            list(small_catalog["Weak"].definitions)
+            + [(parse_expression("pi{C}(q)", q_schema), RelationName("Y2", "C"))],
+            q_schema,
+        )
+        derived = {
+            "add": analyzer.with_view("Zcopy", copy),
+            "replace": analyzer.with_view("Weak", grown),
+            "drop": analyzer.without_view("Joined"),
+        }
+        counts = {}
+        for name, other in derived.items():
+            before = len(signed)
+            other.signature_classes()
+            counts[name] = len(signed) - before
+        monkeypatch.undo()
+        assert counts == {"add": 1, "replace": 1, "drop": 0}
+        for other in derived.values():
+            assert other.signature_classes() == CatalogAnalyzer(other.views).signature_classes()
 
     def test_representative_stickiness_on_smaller_named_copy(
         self, small_catalog, q_schema

@@ -28,6 +28,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main as cli_main
+from repro.engine import CatalogAnalyzer
 from repro.obs import (
     EDIT_CHAIN_JOURNALED,
     ENGINE_PROFILE,
@@ -312,6 +313,35 @@ class TestTracedTraffic:
         for tid in edit_ids:
             assert tuple(groups[tid]) == EDIT_CHAIN_JOURNALED
 
+    def test_inline_warm_probes_keep_the_read_chain(self):
+        # Warm table probes are answered on the event loop, yet each still
+        # records admission -> queue -> dispatch -> compute, tiling its
+        # latency.
+        _schema, catalog = _fixture()
+        tracer = Tracer()
+
+        async def main():
+            async with CatalogService(catalog, tracer=tracer) as service:
+                await service.nonredundant_core()
+                assert service.analyzer.warm
+                tracer.clear()
+                first, second = service.analyzer.names[:2]
+                return [
+                    await service.dominance(first, second),
+                    await service.equivalence(first, second),
+                    await service.nonredundant_core(),
+                ]
+
+        responses = asyncio.run(main())
+        assert all(r.ok for r in responses)
+        verdict = verify_trace(responses, tracer.spans())
+        assert verdict["checked"] == verdict["complete_chains"] == 3
+        assert verdict["mismatches"] == [] and verdict["structural_problems"] == []
+        stages = {}
+        for span in tracer.spans():
+            stages.setdefault(span.trace_id, []).append(span.stage)
+        assert [tuple(stages[r.trace_id]) for r in responses] == [READ_CHAIN] * 3
+
     def test_verify_trace_flags_missing_stage_and_bad_sum(self):
         schema, catalog = _fixture()
         events = overload_mix(schema, catalog, requests=40, seed=43)
@@ -478,6 +508,22 @@ class TestEngineProfile:
         assert snap["catalog_pairs_decided"] > 0
         # Per-signature-class attribution, labelled first-seen.
         assert all(":" in label for label in snap["by_class"])
+
+    def test_broadcast_count_is_every_cell_but_the_decided_ones(self):
+        # One matrix build counts N(N-1) cells less the C(C-1) decided
+        # between representatives: the report's broadcast_pairs.
+        _schema, catalog = _fixture()
+        analyzer = CatalogAnalyzer(catalog)
+        ENGINE_PROFILE.reset()
+        ENGINE_PROFILE.enable()
+        try:
+            report = analyzer.analyze()
+            snap = ENGINE_PROFILE.snapshot()
+        finally:
+            ENGINE_PROFILE.disable()
+            ENGINE_PROFILE.reset()
+        assert report.broadcast_pairs > 0
+        assert snap["catalog_pairs_broadcast"] == report.broadcast_pairs
 
     def test_disabled_profile_records_nothing(self):
         schema, catalog = _fixture(seed=11)

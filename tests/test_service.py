@@ -16,11 +16,14 @@ The contract under test, mirroring the service docs:
 from __future__ import annotations
 
 import asyncio
+import threading
 from collections import Counter
 
 import pytest
 
+import repro.engine.catalog as catalog_module
 from repro.engine import CatalogAnalyzer
+from repro.exceptions import ReproError
 from repro.relalg import parse_expression
 from repro.relational import DatabaseSchema, RelationName
 from repro.service import (
@@ -34,6 +37,7 @@ from repro.service import (
     verify_replay,
 )
 from repro.service.deadline import TIER_BASE, TIER_REDUCED, TIER_REFUSE
+from repro.service.scheduler import OrderedPool
 from repro.views import SearchLimits, View
 from repro.workloads import (
     SchemaSpec,
@@ -386,6 +390,41 @@ class TestEditStream:
         assert response.ok and response.answer["version"] == 2
         assert calls == {"_broadcast_matrix": 1, "_representatives": 2}
 
+    def test_steady_state_edit_signs_only_the_changed_view(
+        self, small_catalog, q_schema, monkeypatch
+    ):
+        # The derived version inherits the signatures of every view the edit
+        # keeps: a copy add signs the one new view, a drop signs nothing.
+        extra = View(
+            [(parse_expression("pi{B}(q)", q_schema), RelationName("Z1", "B"))],
+            q_schema,
+        )
+        copy = small_catalog["Split"].renamed({"W1": "X1", "W2": "X2"})
+        signed = []
+        original = catalog_module.view_signature
+
+        async def main():
+            async with CatalogService(small_catalog) as service:
+                await service.add_view("Extra", extra)  # both versions warm
+                monkeypatch.setattr(
+                    catalog_module,
+                    "view_signature",
+                    lambda view: signed.append(view) or original(view),
+                )
+                counts = []
+                for edit in (
+                    lambda: service.add_view("Zcopy", copy),
+                    lambda: service.drop_view("Extra"),
+                ):
+                    before = len(signed)
+                    response = await edit()
+                    assert response.ok, response.reason
+                    counts.append(len(signed) - before)
+                monkeypatch.undo()
+                return counts
+
+        assert run(main()) == [1, 0]
+
     def test_push_latency_counts_the_diff_in_the_engine_job(
         self, small_catalog, q_schema, monkeypatch
     ):
@@ -437,6 +476,158 @@ class TestEditStream:
 
         with pytest.raises(ServiceError):
             run(main())
+
+
+def _count_pool_submits(monkeypatch):
+    submits = []
+    original = OrderedPool.submit
+
+    def counted(self, key, fn):
+        submits.append(key)
+        return original(self, key, fn)
+
+    monkeypatch.setattr(OrderedPool, "submit", counted)
+    return submits
+
+
+class TestReadPathSplit:
+    """Table probes of a warm version answer inline on the event loop;
+    membership, view reports and every read of a cold version go to the
+    pool."""
+
+    def test_warm_table_probes_skip_the_pool(self, small_catalog, q_schema, monkeypatch):
+        query = parse_expression("pi{A}(q)", q_schema)
+
+        async def main():
+            async with CatalogService(small_catalog) as service:
+                await service.nonredundant_core()  # builds and keeps the matrix
+                assert service.analyzer.warm
+                submits = _count_pool_submits(monkeypatch)
+                counts = {}
+                for kind, read in (
+                    ("dominance", lambda: service.dominance("Joined", "Weak")),
+                    ("equivalence", lambda: service.equivalence("Split", "Joined")),
+                    ("nonredundant_core", service.nonredundant_core),
+                    ("membership", lambda: service.membership("Split", query)),
+                    ("view_report", lambda: service.view_report("Split")),
+                ):
+                    before = len(submits)
+                    response = await read()
+                    assert response.ok, response.reason
+                    counts[kind] = len(submits) - before
+                monkeypatch.undo()
+                return counts
+
+        assert run(main()) == {
+            "dominance": 0,
+            "equivalence": 0,
+            "nonredundant_core": 0,
+            "membership": 1,
+            "view_report": 1,
+        }
+
+    def test_cold_version_probe_goes_to_the_pool(self, small_catalog, monkeypatch):
+        async def main():
+            async with CatalogService(small_catalog) as service:
+                assert not service.analyzer.warm
+                submits = _count_pool_submits(monkeypatch)
+                response = await service.dominance("Joined", "Weak")
+                monkeypatch.undo()
+                return response, len(submits)
+
+        response, submits = run(main())
+        assert response.ok
+        assert response.answer == CatalogAnalyzer(small_catalog).dominates("Joined", "Weak")
+        assert submits == 1
+
+    def test_warm_probe_answers_while_the_only_worker_is_busy(
+        self, small_catalog, q_schema, monkeypatch
+    ):
+        # The one worker is held inside a membership read; a warm dominance
+        # read needs no worker, so it is answered before the hold ends.
+        # The timeouts only guard against a hang.
+        entered = threading.Event()
+        release = threading.Event()
+        original = CatalogService._answer
+
+        def held(self, analyzer, request, tier, limits):
+            if request.kind == "membership":
+                entered.set()
+                release.wait(timeout=30)
+            return original(self, analyzer, request, tier, limits)
+
+        async def main():
+            async with CatalogService(small_catalog, jobs=1) as service:
+                await service.nonredundant_core()
+                monkeypatch.setattr(CatalogService, "_answer", held)
+                loop = asyncio.get_running_loop()
+                member = loop.create_task(
+                    service.membership("Split", parse_expression("pi{A}(q)", q_schema))
+                )
+                try:
+                    assert await loop.run_in_executor(None, entered.wait, 30)
+                    probe = await asyncio.wait_for(
+                        service.dominance("Joined", "Weak"), timeout=30
+                    )
+                    held_meanwhile = not member.done()
+                finally:
+                    release.set()
+                answered = await asyncio.wait_for(member, timeout=30)
+                monkeypatch.undo()
+                return probe, held_meanwhile, answered
+
+        probe, held_meanwhile, answered = run(main())
+        assert probe.ok and probe.answer is True
+        assert held_meanwhile
+        assert answered.ok and answered.answer is True
+
+    def test_warm_probe_of_unknown_view_is_refused_with_the_engine_message(
+        self, small_catalog, monkeypatch
+    ):
+        async def main():
+            async with CatalogService(small_catalog) as service:
+                await service.nonredundant_core()
+                submits = _count_pool_submits(monkeypatch)
+                bad = await service.dominance("Nope", "Weak")
+                good = await service.equivalence("Split", "Joined")
+                monkeypatch.undo()
+                return bad, good, len(submits)
+
+        bad, good, submits = run(main())
+        with pytest.raises(ReproError) as engine_error:
+            CatalogAnalyzer(small_catalog).dominates("Nope", "Weak")
+        assert bad.status == "refused" and bad.answer is None
+        assert bad.reason == str(engine_error.value)
+        assert good.ok and good.answer is True
+        assert submits == 0
+
+    def test_reduced_tier_warm_probe_is_answered_without_a_scan(
+        self, small_catalog, monkeypatch
+    ):
+        calls = Counter()
+
+        def counted(name):
+            original = getattr(CatalogAnalyzer, name)
+
+            def wrapper(self, *args):
+                calls[name] += 1
+                return original(self, *args)
+
+            return wrapper
+
+        async def main():
+            async with CatalogService(small_catalog, policy=ALWAYS_REDUCED) as service:
+                await service.nonredundant_core()  # no deadline: the base tier
+                for name in ("_representatives", "_broadcast_matrix"):
+                    monkeypatch.setattr(CatalogAnalyzer, name, counted(name))
+                response = await service.dominance("Joined", "Weak", deadline_s=5.0)
+                monkeypatch.undo()
+                return response
+
+        response = run(main())
+        assert response.ok and response.tier == TIER_REDUCED
+        assert response.answer == CatalogAnalyzer(small_catalog).dominates("Joined", "Weak")
+        assert calls == Counter()
 
 
 class TestQueueBehaviour:
