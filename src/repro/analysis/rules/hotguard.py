@@ -39,7 +39,6 @@ HOOK_METHODS = frozenset(
         "hom_search",
         "hom_lookup",
         "catalog_decided",
-        "catalog_broadcast",
         "decide",
     }
 )

@@ -19,6 +19,7 @@ from repro.engine.delta import (
     VIEW_REPORT_PREFIX,
     CatalogDelta,
     CatalogSnapshot,
+    QuotientMatrix,
     classes_from_matrix,
     coalesce_deltas,
     compute_delta,
@@ -34,6 +35,7 @@ __all__ = [
     "CatalogDelta",
     "CatalogReport",
     "CatalogSnapshot",
+    "QuotientMatrix",
     "TOPIC_CORE",
     "TOPIC_DOMINANCE",
     "TOPIC_EQUIVALENCE_CLASSES",

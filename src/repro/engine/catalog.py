@@ -11,11 +11,13 @@ matrix as one batched job:
   templates have pairwise-equal canonical keys
   (:func:`repro.perf.signature.canonical_key`) realise the same query
   mappings and therefore have *equal capacities*: every dominance verdict of
-  a class representative broadcasts to the whole class, shrinking the O(N²)
-  decision matrix to O(C²) for C signature classes.  A single pair question
-  reads its representatives' decision directly and never builds the matrix;
-  once decided, a catalog version's representative map is frozen, so the
-  read is a few dictionary lookups.
+  a class representative holds for the whole class, shrinking the O(N²)
+  decision matrix to O(C²) for C signature classes.  A catalog version's
+  state is that quotient: the signature classes and the C×C table between
+  their heads (:class:`~repro.engine.delta.QuotientMatrix`), from which
+  every cell, the core and the equivalence classes are read.  Once decided,
+  a version's representative map is frozen, so a pair question is a few
+  dictionary lookups and no N×N matrix is ever built.
 * **One shared limit object.**  The analyzer builds one
   :class:`~repro.views.capacity.QueryCapacity` per view from its single
   :class:`~repro.views.closure.SearchLimits`, and every batched decision and
@@ -32,9 +34,9 @@ matrix as one batched job:
   per-query construction outcomes of the previous witness.
 
 Soundness note on dedup: equal canonical keys imply equal query mappings,
-so broadcasting is exact whenever the construction-search budgets
-(``SearchLimits``) do not truncate the search — the default budgets on
-catalog-scale views.  Under deliberately starved budgets the truncation
+so sharing a verdict across a class is exact whenever the
+construction-search budgets (``SearchLimits``) do not truncate the search
+— the default budgets on catalog-scale views.  Under deliberately starved budgets the truncation
 point may depend on member names, so representatives are decided with the
 same shared limits the per-pair path would use and the test-suite
 cross-checks the bundled catalogs both ways.
@@ -44,7 +46,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import (
     Dict,
     Hashable,
@@ -63,6 +64,7 @@ from repro.core.report import ViewAnalysisReport
 from repro.engine.delta import (
     CatalogDelta,
     CatalogSnapshot,
+    QuotientMatrix,
     compute_delta,
     core_from_matrix,
     linked_classes,
@@ -214,28 +216,30 @@ class CatalogAnalyzer:
         return verdicts, not witnesses.
 
     The decision store holds one verdict per ordered pair of signature-class
-    representatives.  An analyzer is one catalog version, so it freezes its
-    read model as it goes: the signature classes are grouped once, and the
-    first call that needs every representative pair decided (any pair
-    question or catalog-wide read) decides what is missing and keeps the
-    name → representative map.  A later pair question (:meth:`dominates`,
-    :meth:`equivalent`, :meth:`dominance_witness`) is then two lookups in
-    that map and one in the C×C table, and :meth:`decision_reuse` a stored
-    count.  The first catalog-wide read (:meth:`dominance_matrix`, the
-    core, the classes, :meth:`snapshot`, :meth:`analyze`, :meth:`diff`)
-    broadcasts the table to all N(N−1) cells once and keeps the result as a
-    read-only mapping (:attr:`warm` says whether it exists); every later
-    catalog-wide read of the version reuses it, and the core and the
-    classes are read off the C signature-class heads.  An analyzer derived
-    by :meth:`with_view`/:meth:`without_view` or built by
-    :meth:`from_decided_matrix` starts with none of this but the signatures
-    and decisions of unchanged views.
+    representatives.  An analyzer is one catalog version, and its state is
+    the quotient of the dominance matrix by the signature classes: which
+    class each name is in, and the C×C table between the class heads.  The
+    analyzer freezes that state as it goes: the signature classes are
+    grouped once, and the first call that needs every representative pair
+    decided (any pair question or catalog-wide read) decides what is
+    missing and keeps the name → representative map.  A later pair
+    question (:meth:`dominates`, :meth:`equivalent`,
+    :meth:`dominance_witness`) is then two lookups in that map and one in
+    the decision store, and :meth:`decision_reuse` a stored count.  The
+    first catalog-wide read (:meth:`dominance_matrix`, :meth:`snapshot`,
+    :meth:`analyze`, :meth:`diff`) builds the version's
+    :class:`~repro.engine.delta.QuotientMatrix` in O(N + C²) and keeps it;
+    the core and the equivalence classes are read off its C heads once and
+    kept too.  No N×N matrix is built: a cell is computed when it is
+    looked up.  An analyzer derived by :meth:`with_view`/
+    :meth:`without_view` or built by :meth:`from_decided_matrix` starts
+    with none of this but the signatures and decisions of unchanged views.
 
     One analyzer may be shared by several threads (the service's read
     workers do): the memo tables are lock-guarded and a decision is a pure
     function of its two views and the limits, so concurrent callers at
     worst decide a pair twice, and concurrent first readers at worst build
-    two equal classes tuples, representative maps or matrices.
+    two equal classes tuples, representative maps, quotients or cores.
     """
 
     def __init__(
@@ -268,13 +272,17 @@ class CatalogAnalyzer:
         # Capacity signatures by name, carried across incremental updates
         # for the views they leave unchanged.
         self._signatures: Dict[str, Hashable] = {}
-        # This version's read model.  Each part is computed once and never
-        # changes: the signature classes, the name -> representative map
-        # frozen by the first _ensure_decided(), and the broadcast matrix
-        # built by the first catalog-wide read (_matrix).
+        # This version's state.  Each part is computed once and never
+        # changes: the signature classes; the name -> representative map of
+        # the first scan, with every representative pair decided once
+        # _decided is set; the quotient matrix; the core and the
+        # equivalence classes read off the quotient's heads.
         self._classes: Optional[PyTuple[PyTuple[str, ...], ...]] = None
         self._representative: Optional[Dict[str, str]] = None
-        self._dominance: Optional[Mapping[Pair, bool]] = None
+        self._decided = False
+        self._quotient: Optional[QuotientMatrix] = None
+        self._core: Optional[PyTuple[str, ...]] = None
+        self._equivalence: Optional[PyTuple[PyTuple[str, ...], ...]] = None
 
     # --------------------------------------------------------------- basics
     @property
@@ -404,16 +412,18 @@ class CatalogAnalyzer:
         :meth:`with_view`/:meth:`without_view` derivation or decided by an
         earlier call.  ``already_decided == needed`` means the matrix is
         fully materialised; the ratio is the decision-reuse rate that
-        :class:`repro.service.CatalogService` reports per catalog edit.  Once
-        the representative map is frozen every pair is decided, and the
-        answer is ``(needed, needed)`` without a scan.
+        :class:`repro.service.CatalogService` reports per catalog edit.  The
+        first call scans the signature classes and the decision store and
+        keeps the representative map it finds, so the :meth:`_ensure_decided`
+        that follows decides from it without a second scan.  Once every pair
+        is decided the answer is ``(needed, needed)`` without a scan.
         """
 
         classes = len(self.signature_classes())
         needed = classes * (classes - 1)
-        if self._representative is not None:
+        if self._decided:
             return needed, needed
-        heads = set(self._representatives().values())
+        heads = set(self._scan().values())
         already = sum(
             1
             for a in heads
@@ -422,21 +432,32 @@ class CatalogAnalyzer:
         )
         return already, needed
 
+    def _scan(self) -> Dict[str, str]:
+        """The name -> representative map, from the first scan of the version.
+
+        Every later scan would find the same map: each class's head is its
+        first member found in the decision store, the store only gains the
+        pairs between the heads of this map, and a head once found stays.
+        """
+
+        representative = self._representative
+        if representative is None:
+            representative = self._representative = self._representatives()
+        return representative
+
     def _ensure_decided(self) -> Dict[str, str]:
         """Decide every representative pair still missing; the name ->
         representative map.
 
-        The first call scans the signature classes and the decision store,
-        decides what is pending and freezes the map; later calls return it
-        without a scan.  The frozen map is the one a rescan would give: each
-        class's head is its first member found in the store, every head is
-        in the store once its pairs are decided, and the store only grows.
+        The first call decides what is pending between the heads of the
+        version's representative map (scanned now, unless
+        :meth:`decision_reuse` already did); later calls return the map
+        without a scan.
         """
 
-        representative = self._representative
-        if representative is not None:
-            return representative
-        representative = self._representatives()
+        if self._decided:
+            return self._representative
+        representative = self._scan()
         heads = sorted(set(representative.values()))
         pending = [
             (a, b)
@@ -447,65 +468,52 @@ class CatalogAnalyzer:
         if pending and _PROFILE.enabled:
             _PROFILE.catalog_decided(len(pending))
         self._decisions.update(self._run_pairs(pending))
-        self._representative = representative
+        self._decided = True
         return representative
 
-    def _broadcast_matrix(self, representative: Dict[str, str]) -> Dict[Pair, bool]:
-        decisions = self._decisions
-        pairs = [(name, representative[name]) for name in self._views]
-        matrix = {
-            (a, b): True if ra == rb else decisions[(ra, rb)][0]
-            for a, ra in pairs
-            for b, rb in pairs
-            if a != b
-        }
-        if _PROFILE.enabled:
-            # Every cell but the C(C−1) between distinct representatives is
-            # broadcast from a decision made for another pair.
-            n, c = len(pairs), len(set(representative.values()))
-            broadcast = n * (n - 1) - c * (c - 1)
-            if broadcast:
-                _PROFILE.catalog_broadcast(broadcast)
-        return matrix
+    def _quotient_matrix(self) -> QuotientMatrix:
+        """This version's matrix as its quotient: built on first use, kept.
 
-    def _matrix(self) -> Mapping[Pair, bool]:
-        """This version's matrix: broadcast on first use, then kept.
-
-        Once it exists every representative pair is decided, so no later
-        call can change a cell.  Two threads that both find it missing
-        build equal matrices, and either one may be the one kept.
+        The classes are the signature classes, each headed by its first
+        member, and the table holds each ordered pair of heads' verdict:
+        the decision of their classes' representatives.  O(N + C²) once
+        every representative pair is decided.  Two threads that both find
+        it missing build equal quotients, and either one may be the one
+        kept.
         """
 
-        matrix = self._dominance
-        if matrix is None:
-            matrix = MappingProxyType(self._broadcast_matrix(self._ensure_decided()))
-            self._dominance = matrix
-        return matrix
+        quotient = self._quotient
+        if quotient is None:
+            representative = self._ensure_decided()
+            decisions = self._decisions
+            classes = self.signature_classes()
+            heads = [(members[0], representative[members[0]]) for members in classes]
+            quotient = self._quotient = QuotientMatrix(
+                classes,
+                {
+                    (a, b): decisions[(ra, rb)][0]
+                    for a, ra in heads
+                    for b, rb in heads
+                    if a != b
+                },
+            )
+        return quotient
 
-    def dominance_matrix(self) -> Mapping[Pair, bool]:
+    def dominance_matrix(self) -> QuotientMatrix:
         """Every ordered pair ``(a, b)`` of distinct names mapped to whether
         ``a`` dominates ``b``, as a read-only mapping.
 
         Representative pairs are decided (in parallel when configured);
-        verdicts broadcast across signature classes, and same-class pairs are
-        mutually dominant by equality of capacities.  The first call builds
-        the matrix and every later catalog-wide read of this analyzer
-        returns the same mapping; assigning into it raises ``TypeError``.
+        verdicts hold for whole signature classes, and same-class pairs are
+        mutually dominant by equality of capacities.  The mapping is the
+        version's :class:`~repro.engine.delta.QuotientMatrix`: it stores the
+        classes and the C×C table between their heads and computes each
+        cell when it is looked up.  The first call builds it and every
+        later catalog-wide read of this analyzer returns the same mapping;
+        assigning into it raises ``TypeError``.
         """
 
-        return self._matrix()
-
-    @property
-    def warm(self) -> bool:
-        """Whether this version's matrix is kept, and with it every
-        representative pair decided.
-
-        Then every pair question and core read is table lookups only: no
-        search and no matrix build.  Read-only; the first catalog-wide read
-        makes an analyzer warm and nothing makes it cold again.
-        """
-
-        return self._dominance is not None
+        return self._quotient_matrix()
 
     def _representative_pair(self, first: str, second: str) -> Pair:
         """The class representatives of two names, their pairs decided."""
@@ -518,8 +526,8 @@ class CatalogAnalyzer:
 
         A probe of the signature-class decision table: the answer is the
         verdict of the two names' class representatives, the same value
-        :meth:`dominance_matrix` broadcasts into the ``(first, second)``
-        cell.  Once the representative map is frozen it costs two map
+        :meth:`dominance_matrix` holds in the ``(first, second)`` cell.
+        Once the representative map is frozen it costs two map
         lookups and one decision lookup, whatever N; a cold analyzer first
         scans the signature classes and the decision store and decides its
         missing representative pairs.
@@ -562,36 +570,42 @@ class CatalogAnalyzer:
     def equivalence_classes(self) -> PyTuple[PyTuple[str, ...], ...]:
         """Maximal groups of mutually dominant (capacity-equal) views."""
 
-        return self._equivalence_classes(self.dominance_matrix())
+        return self._read_classes(self.dominance_matrix(), self.signature_classes())
 
-    def _equivalence_classes(
-        self, matrix: Mapping[Pair, bool]
+    def _read_classes(
+        self, matrix: QuotientMatrix, classes: PyTuple[PyTuple[str, ...], ...]
     ) -> PyTuple[PyTuple[str, ...], ...]:
-        """The classes of ``matrix`` read off the signature-class heads only.
+        """The equivalence classes of ``matrix``, read off the heads of the
+        signature ``classes`` once per version.
 
         Every member of a signature class has its head's matrix row and
         column and is mutually dominant with its head, so two views are
         equivalent exactly when their heads are.  Union-find over the C
-        heads' mutual-dominance cells, each head then expanded to its class,
-        gives :func:`~repro.engine.delta.classes_from_matrix`'s classes in
-        the same order, in O(C² + N) instead of O(N²).
+        heads' mutual-dominance cells in the quotient's table, each head
+        then expanded to its class, gives
+        :func:`~repro.engine.delta.classes_from_matrix`'s classes in the
+        same order, in O(C² + N) instead of O(N²).
         """
 
-        members = {group[0]: group for group in self.signature_classes()}
-        heads = list(members)
-        head_classes = linked_classes(
-            heads,
-            (
-                (a, b)
-                for i, a in enumerate(heads)
-                for b in heads[i + 1 :]
-                if matrix[(a, b)] and matrix[(b, a)]
-            ),
-        )
-        return tuple(
-            tuple(sorted(name for head in group for name in members[head]))
-            for group in head_classes
-        )
+        found = self._equivalence
+        if found is None:
+            table = matrix.table
+            members = {group[0]: group for group in classes}
+            heads = list(members)
+            head_classes = linked_classes(
+                heads,
+                (
+                    (a, b)
+                    for i, a in enumerate(heads)
+                    for b in heads[i + 1 :]
+                    if table[(a, b)] and table[(b, a)]
+                ),
+            )
+            found = self._equivalence = tuple(
+                tuple(sorted(name for head in group for name in members[head]))
+                for group in head_classes
+            )
+        return found
 
     def nonredundant_core(self) -> PyTuple[str, ...]:
         """A minimal dominating subset of the catalog (redundancy elimination).
@@ -600,13 +614,17 @@ class CatalogAnalyzer:
         it is equivalent to a lexicographically earlier view — i.e. the core
         keeps the dominance-maximal views, one (first-named) representative
         per equivalence class.  The rule is order-independent, so the result
-        is deterministic.
+        is deterministic.  The core is read off this version's matrix and
+        signature classes once; later calls return the same tuple.
         """
 
-        return self._core(self.dominance_matrix())
+        return self._read_core(self.dominance_matrix(), self.signature_classes())
 
-    def _core(self, matrix: Mapping[Pair, bool]) -> PyTuple[str, ...]:
-        """The core of ``matrix`` read off the signature-class heads only.
+    def _read_core(
+        self, matrix: QuotientMatrix, classes: PyTuple[PyTuple[str, ...], ...]
+    ) -> PyTuple[str, ...]:
+        """The core of ``matrix``, read off the heads of the signature
+        ``classes`` once per version.
 
         Each class's head is its first-named member, and every member of a
         class has the same matrix row and column.  A non-head is subsumed by
@@ -614,11 +632,14 @@ class CatalogAnalyzer:
         a head shares its row with its own head, which is no later in name
         order and so subsumes that head too.  The heads therefore keep
         exactly the views :func:`core_from_matrix` keeps over all N names,
-        in O(C²) lookups for C classes instead of O(N²).
+        in O(C²) lookups in the quotient's table instead of O(N²).
         """
 
-        heads = sorted(members[0] for members in self.signature_classes())
-        return core_from_matrix(heads, matrix)
+        core = self._core
+        if core is None:
+            heads = [members[0] for members in classes]
+            core = self._core = core_from_matrix(heads, matrix.table)
+        return core
 
     def view_reports(self) -> Dict[str, ViewAnalysisReport]:
         """Full per-view reports, each through the shared capacity/limits."""
@@ -631,7 +652,7 @@ class CatalogAnalyzer:
         snapshot = self.snapshot()
         signature_classes = self.signature_classes()
         # One representative per signature class, so C classes decide
-        # C*(C-1) ordered pairs and broadcast the rest of the matrix.
+        # C*(C-1) ordered pairs and the rest of the matrix follows by class.
         decided = len(signature_classes) * (len(signature_classes) - 1)
         n = len(self._views)
         return CatalogReport(
@@ -653,17 +674,17 @@ class CatalogAnalyzer:
         *resync* carries and each side of a :meth:`diff`
         (:mod:`repro.engine.delta`); :meth:`analyze` reports from it too.
         The first catalog-wide read of the analyzer decides any
-        representative pair still missing and builds the matrix; a later
-        snapshot reuses that matrix and builds nothing.  The core and the
-        classes are both read off the signature-class heads.
+        representative pair still missing and builds the quotient matrix,
+        the core and the classes, all kept; a later snapshot builds nothing.
         """
 
-        matrix = self._matrix()
+        matrix = self._quotient_matrix()
+        classes = self.signature_classes()
         return CatalogSnapshot(
             version=version,
-            names=self.names,
-            nonredundant_core=self._core(matrix),
-            equivalence_classes=self._equivalence_classes(matrix),
+            names=matrix.names,
+            nonredundant_core=self._read_core(matrix, classes),
+            equivalence_classes=self._read_classes(matrix, classes),
             dominance=matrix,
         )
 
@@ -673,13 +694,12 @@ class CatalogAnalyzer:
         The changed-set accounting behind the service's subscription pushes:
         views added/dropped/replaced, core membership changes, equivalence
         classes formed/dissolved, dominance edges set/removed/flipped.  It
-        diffs one :meth:`snapshot` of each analyzer, so it decides whatever
+        reads one :meth:`snapshot` of each analyzer, so it decides whatever
         representative pairs either side still lacks; the service's edit job
         relies on that to decide the new version's pairs.  Past the
-        decisions, the cost is one matrix build for each side that has
-        none yet (at most one per analyzer) plus set differences; in the
-        service's edit stream ``previous`` built its matrix as the prior
-        edit's new version, so only this side builds.
+        decisions, the cost is O(N + C²) plus the cells the delta reports:
+        the dominance edges come from the two quotient matrices, reading
+        only the cells that can differ (:func:`compute_delta`).
         """
 
         return compute_delta(previous, self, version=version)
@@ -696,9 +716,11 @@ class CatalogAnalyzer:
 
         The snapshot-adoption path of crash recovery
         (:func:`repro.service.journal.recover_service`): a journaled
-        :class:`~repro.engine.CatalogSnapshot` already carries the full
+        :class:`~repro.engine.CatalogSnapshot` already carries the
         dominance matrix a previous analyzer decided under the *same*
-        limits, so the recovered analyzer adopts those verdicts instead of
+        limits — as its quotient, or as every cell in a journal written
+        before the quotient rendering — so the recovered analyzer adopts
+        those verdicts instead of
         re-deciding every pair — recovery costs folds and parses, not
         homomorphism searches.  Adopted decisions carry no witnesses (the
         same contract as the process backend, whose workers return verdicts
@@ -709,12 +731,12 @@ class CatalogAnalyzer:
 
         Pairs naming views absent from ``views`` are rejected — a matrix
         from the wrong catalog version must fail loudly, not seed stray
-        verdicts that broadcast wrongly later.  Of the rest, only the cells
+        verdicts that would answer cells wrongly later.  Of the rest, only the cells
         between signature-class heads (each class's first-named member) are
         stored, C(C−1) for C classes: with every head decided those heads
-        are the representatives, and the matrix broadcasts from their cells
-        alone, so storing the other cells would change no answer and only
-        lengthen every later representative scan.
+        are the representatives, and every cell is read from theirs, so
+        storing the other cells would change no answer and only lengthen
+        every later representative scan.
         """
 
         analyzer = cls(views, limits=limits, jobs=jobs)

@@ -17,17 +17,21 @@ that changed set:
 * :class:`CatalogSnapshot` — the full per-version state (core, equivalence
   classes, dominance matrix); the payload of a subscription *resync* and the
   version-0 base every delta fold starts from.
+* :class:`QuotientMatrix` — how a catalog version holds its dominance
+  matrix: the partition of its names into classes whose members share every
+  row and column, and the table between the class heads.  Equal query
+  capacity is an equivalence relation and dominance a preorder on its
+  classes (Theorem 1.5.2), so this is the whole matrix in O(N + C²) for C
+  classes; a cell is computed when it is looked up.
 * :func:`coalesce_deltas` — a run of consecutive deltas combined into one,
   the catch-up payload a reconnecting subscriber folds instead of replaying
   every intermediate version.
 
-The delta computer diffs one :class:`CatalogSnapshot` per analyzer: every
-field is a set difference between the two.  An analyzer's first snapshot
-decides any representative pair it still lacks and builds its matrix; the
-analyzer keeps that matrix, so a later snapshot of it builds nothing.  In
-the service's edit stream the previous version built its matrix as the
-prior edit's new version, so a diff costs one matrix build (the new
-version's) plus the set differences (:meth:`CatalogAnalyzer.diff`).
+The delta computer reads one :class:`CatalogSnapshot` per analyzer.  The
+core and class fields are set differences between the two; the dominance
+fields come from the two quotients, reading only the cells that can differ
+(:func:`compute_delta`), so a diff costs O(N + C²) plus the cells it
+reports, never a pass over N(N−1) cells.
 
 Topic names double as the subscription vocabulary of
 :mod:`repro.service.subscriptions`: a delta *matches* a topic when the
@@ -42,6 +46,7 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Sequence,
@@ -51,6 +56,7 @@ from typing import (
 __all__ = [
     "CatalogDelta",
     "CatalogSnapshot",
+    "QuotientMatrix",
     "TOPIC_CORE",
     "TOPIC_DOMINANCE",
     "TOPIC_EQUIVALENCE_CLASSES",
@@ -166,6 +172,58 @@ def core_from_matrix(
     return tuple(core)
 
 
+# ------------------------------------------------------- the matrix quotient
+class QuotientMatrix(Mapping[Pair, bool]):
+    """A dominance matrix held as its quotient: classes plus a head table.
+
+    ``classes`` partitions the names into classes whose members share every
+    row and column of the matrix; each class is sorted and headed by its
+    first member, and the classes are sorted by head.  ``table`` maps every
+    ordered pair of distinct heads to whether the first dominates the
+    second.  Members of one class dominate each other.  So a cell is two
+    lookups in ``head`` (name -> its class's head) and at most one in
+    ``table``, and the whole matrix takes O(N + C²) space for C classes.
+
+    A read-only ``Mapping`` over every ordered pair of distinct names: it
+    iterates row-major over the sorted names, skipping the diagonal, as a
+    dict of pairs would, and ``==`` compares it cell by cell with any
+    mapping.  Assigning a cell raises ``TypeError``.
+    """
+
+    __slots__ = ("classes", "table", "head", "names")
+
+    def __init__(
+        self,
+        classes: PyTuple[PyTuple[str, ...], ...],
+        table: Mapping[Pair, bool],
+    ) -> None:
+        self.classes = classes
+        self.table = table
+        self.head: Dict[str, str] = {
+            name: members[0] for members in classes for name in members
+        }
+        self.names: PyTuple[str, ...] = tuple(sorted(self.head))
+
+    def __getitem__(self, pair: Pair) -> bool:
+        first, second = pair
+        a, b = self.head[first], self.head[second]
+        if a != b:
+            return self.table[(a, b)]
+        if first == second:
+            raise KeyError(pair)
+        return True
+
+    def __iter__(self) -> Iterator[Pair]:
+        names = self.names
+        return ((a, b) for a in names for b in names if a != b)
+
+    def __len__(self) -> int:
+        return len(self.names) * (len(self.names) - 1)
+
+    def __repr__(self) -> str:
+        return f"QuotientMatrix({len(self.names)} names in {len(self.classes)} classes)"
+
+
 # ------------------------------------------------------------- the snapshot
 @dataclass(frozen=True)
 class CatalogSnapshot:
@@ -175,7 +233,8 @@ class CatalogSnapshot:
     from): the catalog names, the nonredundant core, the equivalence
     classes and the complete dominance matrix — everything a subscriber
     tracking any topic needs to re-anchor, with no further questions asked
-    of the service.
+    of the service.  A :class:`~repro.engine.CatalogAnalyzer` snapshot
+    holds its matrix as a :class:`QuotientMatrix`.
     """
 
     version: int
@@ -185,17 +244,26 @@ class CatalogSnapshot:
     dominance: Mapping[Pair, bool]
 
     def to_dict(self) -> Dict[str, object]:
-        """A JSON-able rendering (pair keys become nested ``{row: {col: bool}}``)."""
+        """A JSON-able rendering, the matrix as its quotient.
 
-        nested: Dict[str, Dict[str, bool]] = {name: {} for name in self.names}
-        for (a, b), holds in self.dominance.items():
-            nested[a][b] = holds
+        ``classes`` lists the quotient's classes and ``table[i][j]`` says
+        whether the head of class ``i`` dominates the head of class ``j``
+        (``True`` on the diagonal): O(N + C²) for C classes.  A matrix that
+        is not a :class:`QuotientMatrix` renders with one class per name.
+        """
+
+        matrix = self.dominance
+        if not isinstance(matrix, QuotientMatrix):
+            matrix = QuotientMatrix(tuple((name,) for name in self.names), matrix)
+        heads = [members[0] for members in matrix.classes]
+        table = matrix.table
         return {
             "version": self.version,
             "names": list(self.names),
             "nonredundant_core": list(self.nonredundant_core),
             "equivalence_classes": [list(m) for m in self.equivalence_classes],
-            "dominance": nested,
+            "classes": [list(m) for m in matrix.classes],
+            "table": [[a == b or table[(a, b)] for b in heads] for a in heads],
         }
 
     @classmethod
@@ -205,13 +273,30 @@ class CatalogSnapshot:
         The journal (:mod:`repro.service.journal`) persists snapshots as
         JSON, so recovery needs the exact snapshot back: equal ``version``,
         ``names``, ``nonredundant_core``, ``equivalence_classes`` and
-        ``dominance`` map, with the original tuple/dict shapes restored.
+        ``dominance`` cells, the matrix as a :class:`QuotientMatrix`.  A
+        record written before the quotient rendering carries the whole
+        matrix as nested ``{row: {col: bool}}`` under ``dominance``; it
+        reads back as that dict of pairs, cell for cell.
         """
 
-        dominance: Dict[Pair, bool] = {}
-        for row, cols in data["dominance"].items():
-            for col, holds in cols.items():
-                dominance[(row, col)] = bool(holds)
+        if "table" in data:
+            classes = tuple(tuple(members) for members in data["classes"])
+            heads = [members[0] for members in classes]
+            dominance: Mapping[Pair, bool] = QuotientMatrix(
+                classes,
+                {
+                    (a, b): bool(holds)
+                    for a, row in zip(heads, data["table"])
+                    for b, holds in zip(heads, row)
+                    if a != b
+                },
+            )
+        else:
+            dominance = {
+                (row, col): bool(holds)
+                for row, cols in data["dominance"].items()
+                for col, holds in cols.items()
+            }
         return cls(
             version=int(data["version"]),
             names=tuple(data["names"]),
@@ -332,11 +417,14 @@ class CatalogDelta:
 def compute_delta(previous, current, version: int = 0) -> CatalogDelta:
     """The :class:`CatalogDelta` taking ``previous`` to ``current``.
 
-    Both arguments are :class:`~repro.engine.CatalogAnalyzer`-shaped (the
-    duck type needs ``snapshot()`` and ``view(name)``).  Each side's state
-    is read from one ``snapshot()``, and every field is a set difference
-    between the two snapshots; ``view(name)`` is asked only of the names
-    both sides share, to tell a replaced view from a kept one.
+    Both arguments are :class:`~repro.engine.CatalogAnalyzer`-shaped: the
+    duck type needs ``snapshot()``, whose ``dominance`` is a
+    :class:`QuotientMatrix`, and ``views``.  Each side's state is read from
+    one ``snapshot()``; the core and class fields are set differences
+    between the two, and the views of the names both sides share tell a
+    replaced view from a kept one.  The dominance fields are read from the
+    two quotients by :func:`_changed_cells`, in O(N + C²) plus the cells
+    they report.
     """
 
     before = previous.snapshot()
@@ -345,22 +433,18 @@ def compute_delta(previous, current, version: int = 0) -> CatalogDelta:
     cur_names = set(after.names)
     added = tuple(sorted(cur_names - prev_names))
     dropped = tuple(sorted(prev_names - cur_names))
+    prev_views = previous.views
+    cur_views = current.views
     replaced = tuple(
         sorted(
             name
             for name in cur_names & prev_names
-            if current.view(name) != previous.view(name)
+            if cur_views[name] is not prev_views[name]
+            and cur_views[name] != prev_views[name]
         )
     )
-    prev_matrix = before.dominance
-    cur_matrix = after.dominance
-    edges_set = {
-        pair: holds
-        for pair, holds in cur_matrix.items()
-        if pair not in prev_matrix or prev_matrix[pair] != holds
-    }
-    edges_removed = tuple(
-        sorted(pair for pair in prev_matrix if pair not in cur_matrix)
+    edges_set, edges_removed = _changed_cells(
+        before.dominance, after.dominance, added, dropped, replaced
     )
     prev_core = set(before.nonredundant_core)
     cur_core = set(after.nonredundant_core)
@@ -382,6 +466,72 @@ def compute_delta(previous, current, version: int = 0) -> CatalogDelta:
         edges_set=edges_set,
         edges_removed=edges_removed,
     )
+
+
+def _changed_cells(
+    before: QuotientMatrix,
+    after: QuotientMatrix,
+    added: Sequence[str],
+    dropped: Sequence[str],
+    replaced: Sequence[str],
+) -> PyTuple[Dict[Pair, bool], PyTuple[Pair, ...]]:
+    """The cells ``after`` sets anew or differently, and the pairs it lost.
+
+    Only these cells can differ: the rows and columns of added and
+    replaced views, compared cell by cell; the pairs of dropped views,
+    removed; and the pairs of two kept views.  A kept view's cells depend
+    only on its class head in each version, so the kept views are grouped
+    by (head before, head after) and each ordered pair of groups is
+    compared once — at most C² group pairs — its cells all reported when
+    the verdict changed.  That is exact whatever the search limits: a
+    class whose head was dropped moves to a new head, and its group
+    compares the new head's verdicts with the old one's.  Cells and
+    removed pairs come back in row-major order, as a full-matrix diff
+    would list them.
+    """
+
+    old_head, new_head = before.head, after.head
+    old_table, new_table = before.table, after.table
+    changed = set(added).union(replaced)
+    groups: Dict[Pair, List[str]] = {}
+    for members in after.classes:
+        for name in members:
+            if name not in changed:
+                groups.setdefault((old_head[name], members[0]), []).append(name)
+    cells: Dict[Pair, bool] = {}
+    for (old_a, new_a), firsts in groups.items():
+        for (old_b, new_b), seconds in groups.items():
+            holds = True if new_a == new_b else new_table[(new_a, new_b)]
+            held = True if old_a == old_b else old_table[(old_a, old_b)]
+            if held != holds:
+                for a in firsts:
+                    for b in seconds:
+                        cells[(a, b)] = holds
+    for name in changed:
+        row_new, row_old = new_head[name], old_head.get(name)
+        for other in after.names:
+            if other == name:
+                continue
+            col_new, col_old = new_head[other], old_head.get(other)
+            for a, b, new_a, new_b, old_a, old_b in (
+                (name, other, row_new, col_new, row_old, col_old),
+                (other, name, col_new, row_new, col_old, row_old),
+            ):
+                holds = True if new_a == new_b else new_table[(new_a, new_b)]
+                if (
+                    old_a is None
+                    or old_b is None
+                    or holds != (True if old_a == old_b else old_table[(old_a, old_b)])
+                ):
+                    cells[(a, b)] = holds
+    gone = set(dropped)
+    removed = tuple(
+        (a, b)
+        for a in before.names
+        for b in (before.names if a in gone else dropped)
+        if a != b
+    )
+    return dict(sorted(cells.items())), removed
 
 
 # -------------------------------------------------------------------- folds

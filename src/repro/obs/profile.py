@@ -7,7 +7,7 @@ enabled it counts homomorphism search nodes (one per ``expand`` call in
 ``_iter_maps``), attributes memo hits/misses per tier (exact-template
 key vs canonical-signature key) and per signature class (bounded to
 ``max_classes`` distinct classes plus an overflow bucket), and counts
-catalog representative-pair decisions and broadcast fills.
+catalog representative-pair decisions.
 
 The counters feed the service metrics registry
 (``CatalogService.metrics_registry``) as ``repro_hom_*`` /
@@ -61,7 +61,6 @@ class EngineProfile:
             self._by_class: Dict[str, Dict[str, int]] = {}
             self._class_labels.clear()
             self.catalog_pairs_decided = 0
-            self.catalog_pairs_broadcast = 0
 
     # -------------------------------------------------------------- hooks
     def hom_node(self) -> None:
@@ -114,12 +113,6 @@ class EngineProfile:
         with self._lock:
             self.catalog_pairs_decided += pairs
 
-    def catalog_broadcast(self, pairs: int) -> None:
-        """Matrix entries filled by class broadcast (no search run)."""
-
-        with self._lock:
-            self.catalog_pairs_broadcast += pairs
-
     # ------------------------------------------------------------- export
     def snapshot(self) -> Dict[str, Any]:
         with self._lock:
@@ -130,7 +123,11 @@ class EngineProfile:
                 "hom_lookups": dict(self.hom_lookups),
                 "by_class": {k: dict(v) for k, v in sorted(self._by_class.items())},
                 "catalog_pairs_decided": self.catalog_pairs_decided,
-                "catalog_pairs_broadcast": self.catalog_pairs_broadcast,
+                # Matrix cells filled from another pair's decision: none
+                # since a catalog version holds its matrix as the class
+                # quotient, computing a cell when it is looked up.  The key
+                # stays for the readers of this snapshot.
+                "catalog_pairs_broadcast": 0,
             }
 
 

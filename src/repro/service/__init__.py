@@ -53,10 +53,12 @@ from repro.service.admission import (
 from repro.service.deadline import OVERLOAD_POLICY, DeadlinePolicy
 from repro.service.journal import (
     FSYNC_POLICIES,
+    JOURNAL_MODES,
     DeltaJournal,
     FaultyFile,
     JournalCorruption,
     JournalError,
+    JournalOpenError,
     JournalWriteError,
     RecoveryResult,
     SimulatedCrash,
@@ -120,8 +122,10 @@ __all__ = [
     "FSYNC_POLICIES",
     "FaultyFile",
     "FifoScheduler",
+    "JOURNAL_MODES",
     "JournalCorruption",
     "JournalError",
+    "JournalOpenError",
     "JournalWriteError",
     "OVERLOAD_POLICY",
     "OrderedPool",

@@ -21,9 +21,12 @@ those bytes.  Two payload types:
 
 * ``snapshot`` — the full catalog (:func:`repro.catalog.serialize_catalog`
   text) and the full derived state (:meth:`CatalogSnapshot.to_dict`) at one
-  version.  Written at version 0 (:meth:`DeltaJournal.begin`), every
-  ``snapshot_every`` edits as a checkpoint, and as the re-anchor that heals
-  a lagging journal.
+  version, its dominance matrix as the class quotient: the classes and the
+  table between their heads, O(N + C²) for C classes.  Written at version
+  0 (:meth:`DeltaJournal.begin`), every ``snapshot_every`` edits as a
+  checkpoint, and as the re-anchor that heals a lagging journal.  A
+  journal written before the quotient rendering holds every matrix cell
+  in its snapshot records instead; recovery reads both.
 * ``delta`` — one committed edit: its kind/subject, the serialized view
   text for ``add_view`` (a one-view catalog document), and the
   :meth:`CatalogDelta.to_dict` changed set.
@@ -57,6 +60,16 @@ and publishing, the gap is explicit in :meth:`DeltaJournal.stats`, and the
 next successful write heals the journal by re-anchoring on a fresh
 snapshot (which covers every version the gap lost).
 
+Every other failure leaves the journal in one of three terminal modes, and
+:attr:`DeltaJournal.mode` names the current one (:data:`JOURNAL_MODES`):
+``crashed`` after a :class:`SimulatedCrash`, ``dead`` after a rollback that
+itself failed, and ``failed`` after an error that came once a record may
+already be in the file — an ``fsync`` that raised, or anything unforeseen.
+The service refuses the edit whose journal step failed that way, and every
+later edit, and leaves the failed edit's outcome to recovery, which finds
+its record or does not.  A journal file that cannot be opened raises
+:class:`JournalOpenError` before any byte is written.
+
 Recovery
 --------
 
@@ -64,8 +77,11 @@ Recovery
 edit payloads onto its catalog, folds the subsequent deltas over its state,
 cross-checks the folded core/classes against pure re-derivations from the
 folded matrix, and adopts the matrix into an analyzer via
-:meth:`CatalogAnalyzer.from_decided_matrix` — recovery cost is file I/O plus
-dict folds, never new pair decisions.  :meth:`RecoveryResult.verify` then
+:meth:`CatalogAnalyzer.from_decided_matrix`, which keeps only the cells
+between the signature-class heads — recovery cost is file I/O plus
+dict folds, never new pair decisions.  A quotient snapshot with no delta
+after it is adopted as it is; one with deltas to fold is expanded to its
+cells first, as the deltas name cells.  :meth:`RecoveryResult.verify` then
 optionally demands bit-identity against a completely fresh serial analyzer
 (memo tables cleared), the same oracle discipline as
 :func:`~repro.service.replay.verify_replay`.
@@ -100,8 +116,10 @@ __all__ = [
     "DeltaJournal",
     "FSYNC_POLICIES",
     "FaultyFile",
+    "JOURNAL_MODES",
     "JournalCorruption",
     "JournalError",
+    "JournalOpenError",
     "JournalRecord",
     "JournalScan",
     "JournalWriteError",
@@ -121,6 +139,11 @@ __all__ = [
 #: crash still loses nothing because writes are unbuffered).
 FSYNC_POLICIES = ("per_record", "batched", "off")
 
+#: The journal's modes: ``ok``, ``lagging`` (appends failing, the gap
+#: healed by the next checkpoint) and the terminal ``crashed``, ``dead`` and
+#: ``failed`` (:attr:`DeltaJournal.mode`).
+JOURNAL_MODES = ("ok", "lagging", "crashed", "dead", "failed")
+
 #: Longest decimal length prefix a record header may carry (a 10-digit
 #: payload length covers anything under 10 GB — far past any real journal).
 _MAX_LENGTH_DIGITS = 10
@@ -132,6 +155,10 @@ class JournalError(ReproError):
 
 class JournalWriteError(JournalError):
     """An append failed after retries; the journal is lagging or dead."""
+
+
+class JournalOpenError(JournalError):
+    """The journal file could not be opened; nothing was written."""
 
 
 class JournalCorruption(JournalError):
@@ -336,6 +363,8 @@ class DeltaJournal:
         self._heals = 0
         self._crashed = False
         self._dead = False
+        self._failure: Optional[str] = None
+        self._failed_at_version: Optional[int] = None
         self._dropped = 0
 
     # ------------------------------------------------------------ properties
@@ -360,6 +389,41 @@ class DeltaJournal:
 
         return self._dead
 
+    @property
+    def failure(self) -> Optional[str]:
+        """Where and why the journal failed (:meth:`fail`), or ``None``."""
+
+        return self._failure
+
+    @property
+    def mode(self) -> str:
+        """The current mode, one of :data:`JOURNAL_MODES`."""
+
+        if self._failure is not None:
+            return "failed"
+        if self._dead:
+            return "dead"
+        if self._crashed:
+            return "crashed"
+        if self._lagging:
+            return "lagging"
+        return "ok"
+
+    def fail(self, version: int, reason: str) -> None:
+        """Enter the terminal ``failed`` mode: the journal step of the edit
+        to ``version`` raised after its record may have reached the file.
+
+        Nothing more is written, so recovery finds the file as the failure
+        left it, with or without that edit's record.
+        """
+
+        if self._failure is None:
+            self._failure = f"at version {version}: {reason}"
+            self._failed_at_version = int(version)
+
+    def _stopped(self) -> bool:
+        return self._crashed or self._dead or self._failure is not None
+
     # -------------------------------------------------------------- plumbing
     def _ensure_open(self) -> None:
         if self._handle is None:
@@ -383,7 +447,12 @@ class DeltaJournal:
 
         if self._dead:
             raise JournalWriteError(f"the journal at {self.path} is abandoned")
-        self._ensure_open()
+        try:
+            self._ensure_open()
+        except OSError as error:
+            raise JournalOpenError(
+                f"cannot open the journal at {self.path}: {error}"
+            ) from error
         line = _encode_record(payload)
         pre = self._offset
         attempt = 0
@@ -452,7 +521,7 @@ class DeltaJournal:
         Returns whether the journal is in sync afterwards.
         """
 
-        if self._crashed or self._dead:
+        if self._stopped():
             self._dropped += 1
             return False
         try:
@@ -481,11 +550,14 @@ class DeltaJournal:
         (``None`` for ``drop_view``); ``checkpoint_fn`` produces the
         *post-edit* catalog text and snapshot, used for periodic
         checkpoints and for healing a lagging journal.  ``False`` means the
-        edit is NOT in the journal — the journal is lagging (or crashed /
-        dead) and the caller should surface degraded mode in its metrics.
+        edit is NOT in the journal — the journal is lagging (or crashed,
+        dead or failed) and the caller should surface degraded mode in its
+        metrics.  :class:`JournalOpenError` from the delta's append means
+        nothing was written; any other exception may come after the record
+        reached the file.
         """
 
-        if self._crashed or self._dead:
+        if self._stopped():
             self._dropped += 1
             return False
         if self._lagging:
@@ -512,16 +584,17 @@ class DeltaJournal:
             try:
                 text, snapshot = checkpoint_fn()
                 self._append(self._snapshot_payload(text, snapshot), kind="snapshot")
-            except JournalWriteError:
-                # The delta itself is durable; a failed checkpoint only
-                # costs recovery speed, not correctness.
+            except (JournalWriteError, JournalOpenError):
+                # The delta itself is durable and no byte of the checkpoint
+                # stayed in the file; a failed checkpoint only costs
+                # recovery speed, not correctness.
                 pass
         return True
 
     def sync(self) -> None:
         """Flush pending batched fsyncs (no-op under ``off`` / before open)."""
 
-        if self._handle is None or self._crashed or self._dead:
+        if self._handle is None or self._stopped():
             return
         if self._fsync != "off" and self._unsynced:
             os.fsync(self._handle.fileno())
@@ -533,7 +606,7 @@ class DeltaJournal:
 
         if self._handle is None:
             return
-        if not self._crashed and not self._dead:
+        if not self._stopped():
             self.sync()
         try:
             self._handle.close()
@@ -558,6 +631,9 @@ class DeltaJournal:
             "heals": self._heals,
             "crashed": self._crashed,
             "dead": self._dead,
+            "failure": self._failure,
+            "failed_at_version": self._failed_at_version,
+            "mode": self.mode,
             "dropped_after_crash": self._dropped,
         }
 
@@ -607,7 +683,8 @@ def scan_journal(path) -> JournalScan:
     byte offset and reason, wherever it sits in the file.
     """
 
-    data = open(path, "rb").read()
+    with open(path, "rb") as handle:
+        data = handle.read()
     size = len(data)
     records: List[JournalRecord] = []
     version: Optional[int] = None
@@ -938,7 +1015,7 @@ def recover_service(
     views: Dict[str, View] = dict(catalog.views)
     core = set(state.nonredundant_core)
     classes = set(state.equivalence_classes)
-    matrix = dict(state.dominance)
+    matrix = state.dominance
     version = state.version
     deltas_folded = 0
     for record in scan.records[anchor.index + 1 :]:

@@ -20,23 +20,27 @@ Design:
   of computing doomed answers; ``"fifo"`` is the static
   ``(priority, submission order)`` baseline (see
   :mod:`repro.service.scheduler`).
-* **Probes inline, searches fan out, edits serialize.**  A dominance,
-  equivalence or core read of a *warm* catalog version (one whose matrix
-  is kept, :attr:`CatalogAnalyzer.warm`, so every representative pair is
-  decided) is a few table lookups: the dispatcher answers it itself, on
-  the event loop, with no executor hop.  Every other read — membership,
-  view reports, and any read of a version still cold — may search, so it
-  is handed to a thread-pool executor (``jobs`` workers) over the engine's
-  lock-guarded memo tables and runs concurrently.  Both paths run the same
-  serve body: tier choice, answer, refusal of engine errors, completion.
-  Edit requests are applied by the dispatcher itself — one at a time,
-  never overlapping another edit — and swap the service's analyzer for the
-  incrementally derived one.  An edit's
-  engine work (derive, count reuse, diff the two versions, which decides
-  both versions' pairs) is one executor job, and a failure anywhere in it
-  refuses the edit with the catalog unchanged.  Reads already in flight
-  keep the analyzer object they captured, so they answer consistently
-  against the version they started on; the response carries that version.
+* **Probes inline, searches fan out, edits serialize.**  Every catalog
+  version the service serves is decided before it is served — version 0
+  in :meth:`CatalogService.start`, every later one by the edit job that
+  derives it — so a dominance, equivalence or core read is a few lookups
+  in the version's class quotient
+  (:class:`~repro.engine.delta.QuotientMatrix`): the dispatcher answers
+  it itself, on the event loop, with no executor hop.  Membership and
+  view reports may search, so they are handed to a thread-pool executor
+  (``jobs`` workers) over the engine's lock-guarded memo tables and run
+  concurrently.  Both paths run the same serve body: tier choice, answer,
+  refusal of engine errors, completion.  Edit requests are applied by the
+  dispatcher itself — one at a time, never overlapping another edit — and
+  swap the service's analyzer for the incrementally derived one.  An
+  edit's engine work (derive, count reuse, diff the two versions, which
+  decides the new version's pairs) is one executor job, and a failure
+  anywhere in it refuses the edit with the catalog unchanged.  So does a
+  journal that could not be opened; a journal that failed after it may
+  have written fails for good (see :meth:`CatalogService._journal_step`).
+  Reads already in flight keep the analyzer object they captured, so they
+  answer consistently against the version they started on; the response
+  carries that version.
 * **Coalescing.**  Duplicate in-flight questions (same kind, same
   arguments, same catalog version) share one pending answer instead of
   enqueueing again.
@@ -107,7 +111,9 @@ from repro.service.admission import (
 )
 from repro.service.deadline import DeadlinePolicy, TIER_BASE, TIER_REFUSE
 from repro.service.journal import (
+    JOURNAL_MODES,
     DeltaJournal,
+    JournalOpenError,
     SimulatedCrash,
     catalog_text,
     view_text,
@@ -138,9 +144,9 @@ from repro.views.view import View
 
 __all__ = ["CatalogService"]
 
-#: Read kinds answered from the catalog version's decision table alone.  On
-#: a warm version (:attr:`CatalogAnalyzer.warm`) they are lookups, served
-#: inline on the event loop; every other read searches, on the pool.
+#: Read kinds answered from the catalog version's class quotient alone.
+#: Every served version is decided, so they are lookups, served inline on
+#: the event loop; every other read may search, on the pool.
 _TABLE_READS = frozenset({"dominance", "equivalence", "nonredundant_core"})
 
 #: Latency samples kept for the percentile snapshot.  A bounded recent
@@ -230,8 +236,8 @@ class CatalogService:
         catalog version.
     jobs:
         Thread-pool workers serving, concurrently, the reads that may
-        search: membership, view reports and any read of a cold catalog
-        version.  Table probes of a warm version need no worker.
+        search: membership and view reports.  Dominance, equivalence and
+        core reads need no worker.
     queue_limit:
         Admission-queue bound; submissions beyond it are refused.
     scheduler:
@@ -255,9 +261,12 @@ class CatalogService:
         An optional :class:`~repro.service.journal.DeltaJournal`.  The
         base snapshot is written at :meth:`start`; every committed edit is
         journaled inline *before* its delta is published, so the journal is
-        never behind any subscriber.  A failing journal degrades (lagging
-        mode, surfaced in :meth:`metrics`) instead of blocking the edit
-        stream; recovery is :func:`repro.service.journal.recover_service`.
+        never behind any subscriber.  A journal whose appends fail degrades
+        (lagging mode) instead of blocking the edit stream; one that fails
+        after it may have written an edit's record refuses that edit and
+        every later one (failed mode), and reads go on.  The mode is in
+        :meth:`metrics` and the registry; recovery is
+        :func:`repro.service.journal.recover_service`.
     admission:
         ``"off"`` (default — today's behaviour, bit for bit) or
         ``"conformal"``: consult the split-conformal admission controller
@@ -407,37 +416,46 @@ class CatalogService:
 
     # ------------------------------------------------------------ lifecycle
     async def start(self) -> "CatalogService":
-        """Create the scheduler, executor and dispatcher inside the running loop."""
+        """Create the scheduler, executor and dispatcher inside the running loop.
+
+        Version 0 is decided here, before the dispatcher serves anything:
+        every version the service serves is decided, so a dominance,
+        equivalence or core read is lookups only.
+        """
 
         if self._dispatcher is not None:
             raise ServiceError("the service is already running")
-        self._sched = make_scheduler(self._scheduler_name, self._queue_limit).start()
-        self._executor = ThreadPoolExecutor(
+        loop = asyncio.get_running_loop()
+        executor = ThreadPoolExecutor(
             max_workers=self._jobs, thread_name_prefix="repro-service"
         )
+        try:
+            # The snapshot decides every representative pair and builds the
+            # version's quotient; with a journal it is also the base anchor
+            # every recovery folds from, and the begin record hits the
+            # filesystem (append + possible fsync).  All of it runs on the
+            # executor — the event loop never blocks on search or I/O.
+            snapshot = await loop.run_in_executor(
+                executor, self._analyzer.snapshot, self._version
+            )
+            if self._journal is not None:
+                await loop.run_in_executor(
+                    executor,
+                    self._journal.begin,
+                    catalog_text(self._analyzer.views),
+                    snapshot,
+                )
+        except BaseException:
+            executor.shutdown(wait=False)
+            raise
+        self._executor = executor
+        self._sched = make_scheduler(self._scheduler_name, self._queue_limit).start()
         # Reads reach the workers through a policy-ordered hand-off keyed
         # by the scheduler's own sort key, so EDF ordering extends through
         # the executor itself (FIFO keys are arrival order — bit-identical
         # to the plain pool).
-        self._pool = OrderedPool(self._executor)
-        self._dispatcher = asyncio.get_running_loop().create_task(
-            self._dispatch(self._sched)
-        )
-        if self._journal is not None:
-            # The base anchor every recovery folds from.  The snapshot
-            # materialises the dominance matrix and the begin record hits
-            # the filesystem (append + possible fsync), so both run on the
-            # executor — the event loop never blocks on I/O.
-            loop = asyncio.get_running_loop()
-            snapshot = await loop.run_in_executor(
-                self._executor, lambda: self._analyzer.snapshot(self._version)
-            )
-            await loop.run_in_executor(
-                self._executor,
-                self._journal.begin,
-                catalog_text(self._analyzer.views),
-                snapshot,
-            )
+        self._pool = OrderedPool(executor)
+        self._dispatcher = loop.create_task(self._dispatch(self._sched))
         self._started_at = self._clock()
         return self
 
@@ -925,8 +943,13 @@ class CatalogService:
             reg.counter("repro_journal_fsyncs_total", "Journal fsync calls").set_total(stats["fsyncs"])
             reg.counter("repro_journal_retries_total", "Journal write retries").set_total(stats["retries"])
             reg.counter("repro_journal_write_errors_total", "Journal write errors").set_total(stats["write_errors"])
-            reg.gauge("repro_journal_lagging", "1 while the journal is behind the catalog").set(int(stats["lagging"]))
-            reg.gauge("repro_journal_crashed", "1 after a simulated crash froze the journal").set(int(stats["crashed"]))
+            mode = reg.gauge(
+                "repro_journal_mode",
+                "1 for the journal's current mode, 0 for the others",
+                labelnames=("mode",),
+            )
+            for name in JOURNAL_MODES:
+                mode.set(int(stats["mode"] == name), mode=name)
         # Admission controller + drift monitor.
         adm = self._admission.stats()
         reg.gauge("repro_admission_classes", "Distinct request classes seen").set(adm["classes"])
@@ -987,11 +1010,10 @@ class CatalogService:
             per_class.set_total(bucket["miss"], cls=label, outcome="miss")
         pairs = reg.counter(
             "repro_catalog_pairs_total",
-            "Catalog matrix entries, decided by search vs broadcast by class",
+            "Catalog representative pairs decided by search",
             labelnames=("source",),
         )
         pairs.set_total(prof["catalog_pairs_decided"], source="decided")
-        pairs.set_total(prof["catalog_pairs_broadcast"], source="broadcast")
         # Tracer.
         reg.gauge("repro_trace_spans", "Spans currently buffered by the tracer").set(len(self._tracer))
         reg.counter("repro_trace_spans_dropped_total", "Spans evicted from the ring buffer").set_total(self._tracer.dropped)
@@ -1097,10 +1119,10 @@ class CatalogService:
                 # dispatched earlier keep running on the analyzer they
                 # captured; reads dispatched later see the new version.
                 await self._apply_edit(item)
-            elif item.request.kind in _TABLE_READS and self._analyzer.warm:
-                # A table probe of a version whose matrix is kept is a few
-                # lookups, no search: served right here on the event loop
-                # (it never awaits), skipping the pool's two thread hops.
+            elif item.request.kind in _TABLE_READS:
+                # A table probe of a decided version is a few lookups, no
+                # search: served right here on the event loop (it never
+                # awaits), skipping the pool's two thread hops.
                 await self._serve(item, None)
             else:
                 while len(self._serve_tasks) >= max_inflight:
@@ -1305,6 +1327,10 @@ class CatalogService:
                 return
             record(tid, STAGE_COMPUTE, marks.dispatched, marks.diff_done, {"status": status})
             previous = marks.diff_done
+            if status == "refused":
+                # Refused by its journal step: the chain stops there.
+                record(tid, STAGE_JOURNAL, previous, now, {"status": status})
+                return
             if marks.journal_done is not None:
                 record(tid, STAGE_JOURNAL, previous, marks.journal_done)
                 previous = marks.journal_done
@@ -1331,6 +1357,18 @@ class CatalogService:
         # compute time would be recorded as "queue wait" in the percentiles.
         waited = max(0.0, self._clock() - item.enqueued)
         new_version = self._version + 1
+        if self._journal is not None and self._journal.failure is not None:
+            self._finish(
+                item,
+                status="refused",
+                reason=(
+                    f"edits are refused: the journal failed "
+                    f"{self._journal.failure}; recover the service from its "
+                    "journal"
+                ),
+                queue_wait=waited,
+            )
+            return
 
         def engine_job():
             if request.kind == "add_view":
@@ -1338,13 +1376,13 @@ class CatalogService:
             else:
                 derived = previous.without_view(request.subject)
             # Read before any new pair is decided: what the derivation
-            # inherited against what the new matrix needs.
+            # inherited against what the new matrix needs.  The scan behind
+            # it is kept for the diff, which decides from it.
             reuse = derived.decision_reuse()
-            # The diff's two snapshots decide both versions' pairs here, off
-            # the event loop, so reads of the new version start warm.
-            # `previous` is already decided and keeps its matrix except at
-            # the first edit of a never-read catalog, so only `derived`
-            # builds one.  The diff's time opens the push latency.
+            # The diff's snapshot of `derived` decides the new version's
+            # pairs here, off the event loop, so every version the service
+            # serves is decided.  `previous` was decided at start or by the
+            # prior edit.  The diff's time opens the push latency.
             diff_started = self._clock()
             delta = derived.diff(previous, version=new_version)
             return derived, reuse, delta, self._clock() - diff_started
@@ -1372,20 +1410,10 @@ class CatalogService:
             # here; journal and publish tile after it.
             item.trace.diff_done = push_started
         if self._journal is not None:
-            # The append (and per-record fsync) is file I/O: it runs on the
-            # executor so the event loop keeps serving reads while the edit
-            # waits for durability.  Edits are serialized in this dispatcher,
-            # so the journal still records them in commit order, and the
-            # await completes before publication — the journal is never
-            # behind a subscriber.
-            await loop.run_in_executor(
-                self._executor,
-                self._journal_edit,
-                request,
-                derived,
-                new_version,
-                delta,
-            )
+            refusal = await self._journal_step(request, derived, new_version, delta)
+            if refusal is not None:
+                self._finish(item, status="refused", reason=refusal, queue_wait=waited)
+                return
             if item.trace is not None:
                 item.trace.journal_done = self._clock()
         self._analyzer = derived
@@ -1430,11 +1458,58 @@ class CatalogService:
         """The post-edit (catalog text, snapshot) pair a checkpoint records.
 
         The edit's engine job already decided every pair and built the new
-        version's matrix in its diff, so the snapshot decides and builds
-        nothing: it reuses that matrix and derives the core and classes.
+        version's quotient, core and classes in its diff, so the snapshot
+        decides and builds nothing; it renders in O(N + C²).
         """
 
         return catalog_text(analyzer.views), analyzer.snapshot(version)
+
+    async def _journal_step(
+        self,
+        request: ServiceRequest,
+        derived: CatalogAnalyzer,
+        version: int,
+        delta: CatalogDelta,
+    ) -> Optional[str]:
+        """Journal one edit: ``None`` when it may commit, else why it is refused.
+
+        The append (and per-record fsync) is file I/O: it runs on the
+        executor so the event loop keeps serving reads while the edit waits
+        for durability.  Edits are serialized in the dispatcher, so the
+        journal still records them in commit order, and the await completes
+        before publication — the journal is never behind a subscriber.
+
+        Every exception of the step maps onto a journal mode, and none
+        escapes the dispatcher:
+
+        * an append that failed and rolled back to a record boundary is
+          absorbed by the journal itself (``lagging``), and a
+          :class:`SimulatedCrash` froze it mid-append (``crashed``); the
+          edit commits either way;
+        * :class:`JournalOpenError`: the file could not be opened, so
+          nothing reached it; the edit is refused and the catalog unchanged;
+        * anything else came when the record may already be in the file —
+          an ``fsync`` that raised, or an error nobody foresaw.  The journal
+          enters its terminal ``failed`` mode and the edit is refused, its
+          outcome left to recovery, which finds the record or does not;
+          every later edit is refused too, and reads go on.
+        """
+
+        try:
+            await asyncio.get_running_loop().run_in_executor(
+                self._executor, self._journal_edit, request, derived, version, delta
+            )
+        except JournalOpenError as error:
+            return f"edit refused, nothing journaled and the catalog unchanged: {error}"
+        except Exception as error:  # noqa: BLE001 — the dispatcher must survive
+            reason = f"{type(error).__name__}: {error}"
+            self._journal.fail(version, reason)
+            return (
+                f"the journal failed at version {version} ({reason}); its "
+                "record may be in the journal, so recovery decides whether "
+                "this edit happened"
+            )
+        return None
 
     def _journal_edit(
         self,
@@ -1470,8 +1545,8 @@ class CatalogService:
 
         With an ``order_key`` the answer is computed on the ordered pool at
         that key; with ``None`` it is computed inline, on the event loop,
-        which :meth:`_dispatch` chooses only for a table probe of a warm
-        version, so nothing here awaits and no search runs on the loop.
+        which :meth:`_dispatch` chooses only for a table probe, so nothing
+        here awaits and no search runs on the loop.
         Either way the same prologue, error handling and completion apply.
         """
 
@@ -1550,20 +1625,20 @@ class CatalogService:
         limits: SearchLimits,
     ):
         """Compute one read answer: on a pool thread, or inline on the event
-        loop for a table probe of a warm version (see :meth:`_serve`).
+        loop for a table probe (see :meth:`_serve`).
 
         Base tier: exact answers through the shared analyzer — bit-identical
         to a direct serial ``CatalogAnalyzer`` run at the same version.
-        Dominance and equivalence reads probe the analyzer's signature-class
-        decision table (:meth:`CatalogAnalyzer.dominates` /
-        :meth:`~CatalogAnalyzer.equivalent`) and build no matrix; the core
-        read takes the version's N×N matrix, built once by its first
-        catalog-wide read and kept, and reads the core off the
-        signature-class heads.  Reduced tier: membership runs the truncated search
-        (positives are sound witnesses, failed searches are explicit
-        unknowns); the catalog-level questions are served exactly when every
-        representative pair is already decided and refused otherwise — a
-        truncated decision would risk wrong verdicts.
+        Dominance, equivalence and core reads are lookups in the version's
+        class quotient, decided before the version was served
+        (:meth:`CatalogAnalyzer.dominates` /
+        :meth:`~CatalogAnalyzer.equivalent` probe the representatives'
+        decisions; the core is a per-version tuple).  Reduced tier:
+        membership runs the truncated search (positives are sound
+        witnesses, failed searches are explicit unknowns); the table reads
+        need no search, so they are answered exactly; a view report, which
+        runs full searches, is refused — a truncated one would risk wrong
+        verdicts.
         """
 
         kind = request.kind
@@ -1581,15 +1656,13 @@ class CatalogService:
                 None,
                 "budget-limited search found no construction; membership unknown",
             )
-        if tier != TIER_BASE:
-            reused, needed = analyzer.decision_reuse()
-            if reused < needed or kind == "view_report":
-                return (
-                    "refused",
-                    None,
-                    f"deadline too small for a cold {kind} answer; retry without "
-                    "a deadline or after the catalog matrix is warm",
-                )
+        if tier != TIER_BASE and kind == "view_report":
+            return (
+                "refused",
+                None,
+                "deadline too small for a view report, which runs full "
+                "searches; retry with a longer deadline or none",
+            )
         if kind == "dominance":
             return "ok", analyzer.dominates(request.subject, request.other), ""
         if kind == "equivalence":

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from repro import CatalogAnalyzer, ViewAnalyzer
 from repro.baselines.seed_engine import seed_closure_contains, seed_dominates
 from repro.catalog import Catalog, parse_catalog, serialize_catalog
 from repro.engine import (
+    QuotientMatrix,
     classes_from_matrix,
     core_from_matrix,
     process_chunksize,
@@ -222,19 +224,33 @@ class TestCrossChecks:
     def test_catalog_wide_reads_build_the_matrix_once(
         self, first, small_catalog, cache_mode, monkeypatch
     ):
-        # Whichever catalog-wide read comes first builds the matrix; every
-        # other one, and a repeat of each, reuses it.
+        # Whichever catalog-wide read comes first builds the version's
+        # quotient matrix; every other one, and a repeat of each, reuses it.
+        # The representative scan, the core and the equivalence classes are
+        # each computed once per version too.
         analyzer = CatalogAnalyzer(small_catalog)
         previous = analyzer.without_view("Weak")
-        previous.dominance_matrix()
-        built_by = []
-        original = CatalogAnalyzer._broadcast_matrix
+        previous.snapshot()
+        built = Counter()
 
-        def counted(self, representative):
-            built_by.append(self)
-            return original(self, representative)
+        def counted(name):
+            original = getattr(catalog_module, name)
 
-        monkeypatch.setattr(CatalogAnalyzer, "_broadcast_matrix", counted)
+            def wrapper(*args):
+                built[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        for name in ("QuotientMatrix", "core_from_matrix", "linked_classes"):
+            monkeypatch.setattr(catalog_module, name, counted(name))
+        scan = CatalogAnalyzer._representatives
+
+        def scanned(self):
+            built["scan"] += 1
+            return scan(self)
+
+        monkeypatch.setattr(CatalogAnalyzer, "_representatives", scanned)
         reads = {
             "dominance_matrix": analyzer.dominance_matrix,
             "nonredundant_core": analyzer.nonredundant_core,
@@ -244,15 +260,25 @@ class TestCrossChecks:
             "diff": lambda: analyzer.diff(previous, version=3),
         }
         reads[first]()
-        assert built_by == [analyzer]
+        assert built["QuotientMatrix"] == built["scan"] == 1
         for read in (*reads.values(), *reads.values()):
             read()
-        assert built_by == [analyzer]
+        assert built == {
+            "QuotientMatrix": 1,
+            "scan": 1,
+            "core_from_matrix": 1,
+            "linked_classes": 1,
+        }
         monkeypatch.undo()
         matrix = analyzer.dominance_matrix()
+        assert isinstance(matrix, QuotientMatrix)
         assert analyzer.snapshot(3).dominance is matrix
         assert analyzer.analyze().dominance is matrix
-        assert matrix == CatalogAnalyzer(small_catalog).dominance_matrix()
+        assert analyzer.snapshot(3).nonredundant_core is analyzer.nonredundant_core()
+        assert analyzer.snapshot(3).equivalence_classes is analyzer.equivalence_classes()
+        fresh = CatalogAnalyzer(small_catalog).dominance_matrix()
+        assert matrix == fresh
+        assert list(matrix.items()) == list(dict(fresh).items())
 
     def test_matrix_is_read_only(self, small_catalog, cache_mode):
         analyzer = CatalogAnalyzer(small_catalog)
@@ -535,21 +561,26 @@ class TestIncremental:
         present, needed = shrunk.decision_reuse()
         assert present == needed
 
-    def test_warm_once_the_matrix_is_kept(self, small_catalog):
-        # A pair read decides the pairs and freezes the representative map,
-        # but only a catalog-wide read keeps the matrix that makes the
-        # version warm; derived and adopted analyzers start cold.
+    def test_first_catalog_wide_read_builds_the_quotient(self, small_catalog):
+        # A pair read decides the pairs and freezes the representative map
+        # but builds no quotient; the first catalog-wide read builds it and
+        # every later one returns it.  Derived and adopted analyzers start
+        # without one, and an adopted analyzer's equals its source's.
         analyzer = CatalogAnalyzer(small_catalog)
-        assert not analyzer.warm
+        assert analyzer._quotient is None
         analyzer.dominates("Joined", "Weak")
-        assert not analyzer.warm
+        assert analyzer._quotient is None
+        assert analyzer.decision_reuse() == (6, 6)
         analyzer.nonredundant_core()
-        assert analyzer.warm
-        assert not analyzer.without_view("Weak").warm
-        adopted = CatalogAnalyzer.from_decided_matrix(small_catalog, analyzer.dominance_matrix())
-        assert not adopted.warm
-        adopted.snapshot()
-        assert adopted.warm
+        quotient = analyzer._quotient
+        assert quotient is not None and analyzer.dominance_matrix() is quotient
+        assert quotient.classes is analyzer.signature_classes()
+        assert len(quotient.table) == 3 * 2 and len(quotient) == 4 * 3
+        assert analyzer.without_view("Weak")._quotient is None
+        adopted = CatalogAnalyzer.from_decided_matrix(small_catalog, quotient)
+        assert adopted._quotient is None
+        assert adopted.snapshot() == analyzer.snapshot()
+        assert adopted.dominance_matrix().table == quotient.table
 
     def test_derived_analyzer_signs_only_changed_views(
         self, small_catalog, q_schema, monkeypatch

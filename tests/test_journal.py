@@ -58,6 +58,11 @@ from repro.workloads import (
     view_catalog,
 )
 
+#: A journal whose snapshot records carry every dominance-matrix cell.
+FULL_MATRIX_JOURNAL = os.path.join(
+    os.path.dirname(__file__), "fixtures", "journals", "traffic_seed11_full_matrix.jsonl"
+)
+
 
 @pytest.fixture
 def base_catalog(split_view, joined_view):
@@ -259,6 +264,30 @@ class TestFsyncPolicies:
 
 
 class TestRecovery:
+    def test_journal_with_full_matrix_snapshots_recovers_bit_identically(self, tmp_path):
+        # Written before snapshot records carried the class quotient
+        # (traffic --requests 240 --edit-rate 0.3 --seed 11 --journal):
+        # every snapshot holds every matrix cell.  Recovery folds the last
+        # two deltas over the version-64 checkpoint, and adopts that
+        # checkpoint alone once the deltas are cut off.
+        records = scan_journal(FULL_MATRIX_JOURNAL).records
+        snapshots = [r for r in records if r.type == "snapshot"]
+        assert [r.version for r in snapshots] == [0, 32, 64]
+        assert all("dominance" in r.payload["state"] for r in snapshots)
+        assert not any("table" in r.payload["state"] for r in snapshots)
+        cut = tmp_path / "cut.jsonl"
+        with open(FULL_MATRIX_JOURNAL, "rb") as handle:
+            cut.write_bytes(handle.read()[: snapshots[-1].offset + snapshots[-1].length])
+        for path, version, folded in ((FULL_MATRIX_JOURNAL, 66, 2), (str(cut), 64, 0)):
+            result = recover_service(path)
+            assert (result.version, result.deltas_folded) == (version, folded)
+            assert result.verify() == []
+            fresh = CatalogAnalyzer(dict(result.views)).snapshot(version)
+            recovered = result.analyzer.snapshot(version)
+            assert recovered == fresh
+            assert recovered.to_dict() == fresh.to_dict()
+            assert result.state == fresh
+
     def test_recovery_is_bit_identical_and_reuses_decisions(
         self, tmp_path, base_catalog, extra_views
     ):

@@ -323,7 +323,6 @@ class TestTracedTraffic:
         async def main():
             async with CatalogService(catalog, tracer=tracer) as service:
                 await service.nonredundant_core()
-                assert service.analyzer.warm
                 tracer.clear()
                 first, second = service.analyzer.names[:2]
                 return [
@@ -509,21 +508,28 @@ class TestEngineProfile:
         # Per-signature-class attribution, labelled first-seen.
         assert all(":" in label for label in snap["by_class"])
 
-    def test_broadcast_count_is_every_cell_but_the_decided_ones(self):
-        # One matrix build counts N(N-1) cells less the C(C-1) decided
-        # between representatives: the report's broadcast_pairs.
+    def test_analysis_decides_the_class_pairs_and_fills_no_cell(self):
+        # An analysis decides the C(C-1) representative pairs, the report's
+        # decided_pairs, and fills no matrix cell: the version holds the
+        # class quotient, and even reading every cell of it (the report's
+        # rendering) computes each one on lookup, searching nothing.
         _schema, catalog = _fixture()
         analyzer = CatalogAnalyzer(catalog)
         ENGINE_PROFILE.reset()
         ENGINE_PROFILE.enable()
         try:
             report = analyzer.analyze()
+            cells = dict(report.dominance)
+            report.to_dict()
             snap = ENGINE_PROFILE.snapshot()
         finally:
             ENGINE_PROFILE.disable()
             ENGINE_PROFILE.reset()
-        assert report.broadcast_pairs > 0
-        assert snap["catalog_pairs_broadcast"] == report.broadcast_pairs
+        n = len(report.names)
+        assert len(cells) == n * (n - 1) == report.decided_pairs + report.broadcast_pairs
+        assert report.decided_pairs > 0 and report.broadcast_pairs > 0
+        assert snap["catalog_pairs_decided"] == report.decided_pairs
+        assert snap["catalog_pairs_broadcast"] == 0
 
     def test_disabled_profile_records_nothing(self):
         schema, catalog = _fixture(seed=11)

@@ -115,30 +115,39 @@ class TestExactAnswers:
             assert response.tier == "base"
 
     def test_warm_reads_build_no_matrix(self, small_catalog, monkeypatch):
-        # A warm dominance or equivalence read probes the signature-class
-        # decision table, and a warm core read reuses the matrix the
-        # version built on its first core read.
-        builds = []
-        original = CatalogAnalyzer._broadcast_matrix
+        # The service decides version 0 at start, so from the first read on
+        # a dominance or equivalence read probes the signature-class
+        # decision table and a core read returns the version's core: none
+        # scans, decides a pair or builds a quotient, and no N x N matrix
+        # exists to build.
+        work = []
 
-        def counted(self, representative):
-            builds.append(representative)
-            return original(self, representative)
+        def counted(name, original):
+            def wrapper(*args):
+                if name != "_run_pairs" or args[-1]:
+                    work.append(name)
+                return original(*args)
+
+            return wrapper
 
         async def main():
             async with CatalogService(small_catalog) as service:
-                await service.nonredundant_core()  # every pair decided
-                monkeypatch.setattr(CatalogAnalyzer, "_broadcast_matrix", counted)
+                for owner, name in (
+                    (catalog_module, "QuotientMatrix"),
+                    (CatalogAnalyzer, "_representatives"),
+                    (CatalogAnalyzer, "_run_pairs"),
+                ):
+                    monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
                 counts = []
                 for read in (
                     lambda: service.dominance("Joined", "Weak"),
                     lambda: service.equivalence("Split", "Joined"),
                     lambda: service.nonredundant_core(),
                 ):
-                    before = len(builds)
+                    before = len(work)
                     response = await read()
                     assert response.ok
-                    counts.append(len(builds) - before)
+                    counts.append(len(work) - before)
                 monkeypatch.undo()
                 return counts
 
@@ -249,14 +258,31 @@ class TestDeadlines:
         assert "Nope" in response.reason
         assert response.tier == TIER_REDUCED
 
-    def test_reduced_tier_cold_matrix_question_refused(self, small_catalog):
+    def test_reduced_tier_table_reads_answered_view_report_refused(self, small_catalog):
+        # Every served version is decided, so under reduced budgets the
+        # table reads are answered exactly, from the first one on; a view
+        # report would run full searches, so it is refused without an
+        # answer.
         async def main():
             async with CatalogService(small_catalog, policy=ALWAYS_REDUCED) as service:
-                return await service.dominance("Split", "Weak", deadline_s=500.0)
+                return (
+                    await service.dominance("Split", "Weak", deadline_s=500.0),
+                    await service.equivalence("Split", "Joined", deadline_s=500.0),
+                    await service.nonredundant_core(deadline_s=500.0),
+                    await service.view_report("Split", deadline_s=500.0),
+                )
 
-        response = run(main())
-        assert response.status == "refused"
-        assert response.answer is None
+        dominance, equivalence, core, report = run(main())
+        fresh = CatalogAnalyzer(small_catalog)
+        for response, expected in (
+            (dominance, fresh.dominates("Split", "Weak")),
+            (equivalence, fresh.equivalent("Split", "Joined")),
+            (core, fresh.nonredundant_core()),
+        ):
+            assert response.status == "ok" and response.tier == TIER_REDUCED
+            assert response.answer == expected
+        assert report.status == "refused" and report.tier == TIER_REDUCED
+        assert report.answer is None
 
     def test_reduced_tier_warm_matrix_question_served_exactly(self, small_catalog):
         async def main():
@@ -357,10 +383,10 @@ class TestEditStream:
     def test_steady_state_edit_builds_the_matrix_once(
         self, small_catalog, q_schema, monkeypatch
     ):
-        # One edit: a representative scan for the reuse count, then the
-        # diff's two snapshots.  The previous version kept the matrix it
-        # built as the prior edit's new version; the new version's snapshot
-        # scans once, decides its pairs and builds its matrix once.
+        # One edit: one representative scan, kept from the reuse count for
+        # the diff, whose snapshot of the new version decides its pairs and
+        # builds its quotient once.  The previous version kept the quotient
+        # it built as the prior edit's new version.
         extra = View(
             [(parse_expression("pi{B}(q)", q_schema), RelationName("Z1", "B"))],
             q_schema,
@@ -368,27 +394,31 @@ class TestEditStream:
         copy = small_catalog["Split"].renamed({"W1": "X1", "W2": "X2"})
         calls = Counter()
 
-        def counted(name):
-            original = getattr(CatalogAnalyzer, name)
-
-            def wrapper(self, *args):
+        def counted(name, original):
+            def wrapper(*args):
                 calls[name] += 1
-                return original(self, *args)
+                return original(*args)
 
             return wrapper
 
         async def main():
             async with CatalogService(small_catalog) as service:
-                await service.add_view("Extra", extra)  # both versions warm
-                for name in ("_broadcast_matrix", "_representatives"):
-                    monkeypatch.setattr(CatalogAnalyzer, name, counted(name))
+                await service.add_view("Extra", extra)
+                for owner, name in (
+                    (catalog_module, "QuotientMatrix"),
+                    (CatalogAnalyzer, "_representatives"),
+                ):
+                    monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
                 response = await service.add_view("Zcopy", copy)
                 monkeypatch.undo()
                 return response
 
         response = run(main())
         assert response.ok and response.answer["version"] == 2
-        assert calls == {"_broadcast_matrix": 1, "_representatives": 2}
+        assert calls == {"QuotientMatrix": 1, "_representatives": 1}
+        # The reuse the response reports is the scan's: the copy joined a
+        # decided class, so every one of the C(C-1) pairs was inherited.
+        assert response.answer["decisions_reused"] == response.answer["decisions_needed"] == 12
 
     def test_steady_state_edit_signs_only_the_changed_view(
         self, small_catalog, q_schema, monkeypatch
@@ -491,17 +521,14 @@ def _count_pool_submits(monkeypatch):
 
 
 class TestReadPathSplit:
-    """Table probes of a warm version answer inline on the event loop;
-    membership, view reports and every read of a cold version go to the
-    pool."""
+    """Table probes answer inline on the event loop, every served version
+    being decided; membership and view reports go to the pool."""
 
     def test_warm_table_probes_skip_the_pool(self, small_catalog, q_schema, monkeypatch):
         query = parse_expression("pi{A}(q)", q_schema)
 
         async def main():
             async with CatalogService(small_catalog) as service:
-                await service.nonredundant_core()  # builds and keeps the matrix
-                assert service.analyzer.warm
                 submits = _count_pool_submits(monkeypatch)
                 counts = {}
                 for kind, read in (
@@ -526,19 +553,34 @@ class TestReadPathSplit:
             "view_report": 1,
         }
 
-    def test_cold_version_probe_goes_to_the_pool(self, small_catalog, monkeypatch):
+    def test_first_probes_of_each_version_skip_the_pool(
+        self, small_catalog, q_schema, monkeypatch
+    ):
+        # Version 0 is decided at start and every later version by its
+        # edit, so the very first table probe of each needs no worker.
+        extra = View(
+            [(parse_expression("pi{B}(q)", q_schema), RelationName("Z1", "B"))],
+            q_schema,
+        )
+
         async def main():
             async with CatalogService(small_catalog) as service:
-                assert not service.analyzer.warm
                 submits = _count_pool_submits(monkeypatch)
-                response = await service.dominance("Joined", "Weak")
+                first = await service.dominance("Joined", "Weak")
+                edit = await service.add_view("Extra", extra)
+                after = await service.equivalence("Extra", "Weak")
+                core = await service.nonredundant_core()
                 monkeypatch.undo()
-                return response, len(submits)
+                return first, edit, after, core, len(submits)
 
-        response, submits = run(main())
-        assert response.ok
-        assert response.answer == CatalogAnalyzer(small_catalog).dominates("Joined", "Weak")
-        assert submits == 1
+        first, edit, after, core, submits = run(main())
+        assert first.ok and first.version == 0
+        assert first.answer == CatalogAnalyzer(small_catalog).dominates("Joined", "Weak")
+        fresh = CatalogAnalyzer({**small_catalog, "Extra": extra})
+        assert edit.ok and after.ok and after.version == 1 and core.version == 1
+        assert after.answer == fresh.equivalent("Extra", "Weak")
+        assert core.answer == fresh.nonredundant_core()
+        assert submits == 0
 
     def test_warm_probe_answers_while_the_only_worker_is_busy(
         self, small_catalog, q_schema, monkeypatch
@@ -618,7 +660,7 @@ class TestReadPathSplit:
         async def main():
             async with CatalogService(small_catalog, policy=ALWAYS_REDUCED) as service:
                 await service.nonredundant_core()  # no deadline: the base tier
-                for name in ("_representatives", "_broadcast_matrix"):
+                for name in ("_representatives", "_quotient_matrix"):
                     monkeypatch.setattr(CatalogAnalyzer, name, counted(name))
                 response = await service.dominance("Joined", "Weak", deadline_s=5.0)
                 monkeypatch.undo()

@@ -188,6 +188,8 @@ OUTCOMES = (
         stages=("admission", "queue"),
     ),
     Outcome(
+        # Version 0 was decided at start: its 3 classes' 6 pairs carry over
+        # and the new view's class adds 6 more.
         "edit_committed",
         ServiceRequest(
             kind="add_view", subject="Extra", view=_view("pi{B}(q)", "Z1"), deadline_s=0.5
@@ -199,8 +201,8 @@ OUTCOMES = (
         missed=True,
         totals={
             "served": 1, "edits": 1, "deadlined": 1, "deadline_misses": 1,
-            "missed_computing": 1, "max_queue_depth": 1, "reuse_needed": 12,
-            "deltas_published": 1,
+            "missed_computing": 1, "max_queue_depth": 1, "reuse_reused": 6,
+            "reuse_needed": 12, "deltas_published": 1,
         },
         slo_error="miss",
         slo_violations=1,

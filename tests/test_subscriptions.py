@@ -27,6 +27,7 @@ import pytest
 from repro.engine import (
     CatalogAnalyzer,
     CatalogDelta,
+    CatalogSnapshot,
     coalesce_deltas,
     classes_from_matrix,
     compute_delta,
@@ -229,7 +230,13 @@ class TestEngineDelta:
         assert snapshot.dominance == analyzer.dominance_matrix()
         rendered = snapshot.to_dict()
         assert rendered["version"] == 7
-        assert set(rendered["dominance"]) == set(snapshot.names)
+        # The matrix renders as its quotient: the signature classes and the
+        # table between their heads, which reads back cell for cell.
+        assert rendered["classes"] == [list(m) for m in analyzer.signature_classes()]
+        assert {name for members in rendered["classes"] for name in members} == set(
+            snapshot.names
+        )
+        assert CatalogSnapshot.from_dict(rendered) == snapshot
 
     def test_pure_matrix_derivations_agree_with_analyzer(self, small_catalog):
         analyzer = CatalogAnalyzer(small_catalog)
