@@ -2,11 +2,12 @@
 
 The service dispatcher is a single asyncio task: one blocking call inside
 an ``async def`` body stalls every queued request, every subscriber push
-and every deadline in the process.  Engine work that may search already
+and every deadline in the process.  Engine work that must search already
 routes through the executor, deciding each catalog version before it is
-served; only table probes of a decided version, a few lookups each, run
-on the loop.  This rule pins the rest of the contract for the service
-tree:
+served; only reads the version already holds the answer to run on the
+loop — table probes of a decided version, memberships whose verdict is
+memoised and kept view reports, a few lookups each.  This rule pins the
+rest of the contract for the service tree:
 
 * no ``time.sleep`` / ``os.fsync`` / ``os.fdatasync`` / builtin ``open``;
 * no bare ``Lock.acquire()`` on a threading lock (``await`` on an asyncio

@@ -709,7 +709,8 @@ def _cmd_traffic(args, out) -> int:
             file=out,
         )
         print(
-            f"  served {m['served']} (coalesced {m['coalesced']}), "
+            f"  served {m['served']} (coalesced {m['coalesced']}, "
+            f"pooled {m['pooled_reads']}), "
             f"refused {m['refused']} (shed {m['shed']}), edits {m['edits']}",
             file=out,
         )

@@ -74,6 +74,7 @@ class ViewAnalyzer:
         self._view = view
         self._limits = limits
         self._capacity = capacity
+        self._report: Optional[ViewAnalysisReport] = None
 
     @property
     def view(self) -> View:
@@ -141,8 +142,30 @@ class ViewAnalyzer:
         return is_simplified_view(self._view, self._limits)
 
     # ----------------------------------------------------------------- report
+    @property
+    def analyzed(self) -> bool:
+        """Whether :meth:`analyze` has kept its report, so a call runs no search."""
+
+        return self._report is not None
+
     def analyze(self) -> ViewAnalysisReport:
-        """Run the full battery of analyses and return a structured report."""
+        """Run the full battery of analyses and return a structured report.
+
+        The report depends only on the view and the limits, so it is
+        computed on the first call and kept: every later call returns the
+        same frozen report, whatever the memo switch says.  Two threads
+        that both find it missing compute equal reports, and either one may
+        be the one kept.
+        """
+
+        report = self._report
+        if report is None:
+            report = self._report = self._compute_report()
+        return report
+
+    def _compute_report(self) -> ViewAnalysisReport:
+        """Redundancy, the Lemma 3.1.6 bound and the Theorem 4.1.3 normal
+        form, each through this analyzer's limits."""
 
         view = self._view
         queries = view.defining_queries

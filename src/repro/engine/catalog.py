@@ -235,11 +235,20 @@ class CatalogAnalyzer:
     :meth:`without_view` or built by :meth:`from_decided_matrix` starts
     with none of this but the signatures and decisions of unchanged views.
 
+    Per view, the version keeps, once asked for, one
+    :class:`QueryCapacity` (:meth:`capacity`) and one
+    :class:`ViewAnalyzer` (:meth:`analyzer`), whose report is computed on
+    its first :meth:`ViewAnalyzer.analyze` and kept.  A report
+    depends only on the view and the limits, so a derived analyzer carries
+    the capacity and the analyzer of every unchanged view, kept report
+    included; a replaced view gets new ones.
+
     One analyzer may be shared by several threads (the service's read
     workers do): the memo tables are lock-guarded and a decision is a pure
     function of its two views and the limits, so concurrent callers at
     worst decide a pair twice, and concurrent first readers at worst build
-    two equal classes tuples, representative maps, quotients or cores.
+    two equal classes tuples, representative maps, quotients, cores or
+    view reports.
     """
 
     def __init__(
@@ -261,12 +270,14 @@ class CatalogAnalyzer:
         self._views: Dict[str, View] = {name: items[name] for name in sorted(items)}
         self._limits = limits
         self._jobs = int(jobs)
-        # One capacity per view, all built from the one shared limits object;
-        # sharing the capacity shares its generator mapping, which keys every
-        # downstream construction memo.
-        self._capacities: Dict[str, QueryCapacity] = {
-            name: QueryCapacity(view, limits) for name, view in self._views.items()
-        }
+        # One capacity per view, built on first use from the one shared
+        # limits object; sharing the capacity shares its generator mapping,
+        # which keys every downstream construction memo.  One ViewAnalyzer
+        # per view, built on first use over that capacity.  Both are
+        # carried, the analyzer with its kept report, across incremental
+        # updates for the views they leave unchanged.
+        self._capacities: Dict[str, QueryCapacity] = {}
+        self._analyzers: Dict[str, ViewAnalyzer] = {}
         # Decided representative pairs, carried across incremental updates.
         self._decisions: Dict[Pair, PairOutcome] = {}
         # Capacity signatures by name, carried across incremental updates
@@ -317,15 +328,35 @@ class CatalogAnalyzer:
             raise CapacityError(f"the catalog has no view named {name!r}") from None
 
     def capacity(self, name: str) -> QueryCapacity:
-        """The shared :class:`QueryCapacity` of the named view."""
+        """The shared :class:`QueryCapacity` of the named view.
 
-        self.view(name)
-        return self._capacities[name]
+        Built on first use and kept; concurrent first callers get the same
+        object.
+        """
+
+        capacity = self._capacities.get(name)
+        if capacity is None:
+            capacity = self._capacities.setdefault(
+                name, QueryCapacity(self.view(name), self._limits)
+            )
+        return capacity
 
     def analyzer(self, name: str) -> ViewAnalyzer:
-        """A :class:`ViewAnalyzer` over the view's *shared* capacity object."""
+        """This version's one :class:`ViewAnalyzer` for the named view, over
+        the view's *shared* capacity object.
 
-        return ViewAnalyzer(capacity=self.capacity(name))
+        Built on first use and kept, so the report its
+        :meth:`~ViewAnalyzer.analyze` computes once is every later
+        caller's, here and in every analyzer derived from this one that
+        keeps the view.  Concurrent first callers get the same object.
+        """
+
+        analyzer = self._analyzers.get(name)
+        if analyzer is None:
+            analyzer = self._analyzers.setdefault(
+                name, ViewAnalyzer(capacity=self.capacity(name))
+            )
+        return analyzer
 
     # --------------------------------------------------------- signatures
     def _signature_of(self, name: str) -> Hashable:
@@ -387,7 +418,7 @@ class CatalogAnalyzer:
         """One dominance decision through the shared capacity objects."""
 
         first, second = pair
-        return capacity_dominance(self._capacities[first], self._views[second])
+        return capacity_dominance(self.capacity(first), self._views[second])
 
     def _run_pairs(self, pairs: Sequence[Pair]) -> Dict[Pair, PairOutcome]:
         if not pairs:
@@ -642,7 +673,8 @@ class CatalogAnalyzer:
         return core
 
     def view_reports(self) -> Dict[str, ViewAnalysisReport]:
-        """Full per-view reports, each through the shared capacity/limits."""
+        """Full per-view reports, each through the shared capacity/limits,
+        from the version's kept analyzers (:meth:`analyzer`)."""
 
         return {name: self.analyzer(name).analyze() for name in self._views}
 
@@ -758,11 +790,12 @@ class CatalogAnalyzer:
     def _derive(self, views: Dict[str, View]) -> "CatalogAnalyzer":
         derived = CatalogAnalyzer(views, limits=self._limits, jobs=self._jobs)
         # Decisions are pure functions of the two views and the limits, and a
-        # signature of its one view, so every decided pair and signature
-        # whose views are unchanged carries over.  The snapshot copies let a
-        # service thread keep deciding pairs on *this* analyzer concurrently:
-        # iterating a live dict while another thread inserts would raise
-        # RuntimeError mid-derivation.
+        # signature, a capacity and a view report of the one view, so every
+        # decided pair, signature, capacity and view analyzer whose views
+        # are unchanged carries over.  The snapshot copies let a service
+        # thread keep deciding pairs and building analyzers on *this*
+        # analyzer concurrently: iterating a live dict while another thread
+        # inserts would raise RuntimeError mid-derivation.
         unchanged = {name for name, view in views.items() if view is self._views.get(name)}
         for (a, b), outcome in dict(self._decisions).items():
             if a in unchanged and b in unchanged:
@@ -770,6 +803,12 @@ class CatalogAnalyzer:
         for name, signature in dict(self._signatures).items():
             if name in unchanged:
                 derived._signatures[name] = signature
+        for name, capacity in dict(self._capacities).items():
+            if name in unchanged:
+                derived._capacities[name] = capacity
+        for name, analyzer in dict(self._analyzers).items():
+            if name in unchanged:
+                derived._analyzers[name] = analyzer
         return derived
 
     def with_view(self, name: str, view: View) -> "CatalogAnalyzer":

@@ -134,6 +134,26 @@ class LRUCache:
         finally:
             self._lock.release()
 
+    def probe(self, key: Hashable) -> Tuple[bool, Any]:
+        """Like :meth:`lookup`, but a miss counts nothing.
+
+        For a caller that only asks whether the table already holds a value
+        and hands a miss to code that looks the key up again and counts
+        that miss itself, so each question is still counted once.  A hit
+        counts and refreshes recency exactly as in :meth:`lookup`.
+        """
+
+        self._acquire()
+        try:
+            value = self._data.get(key, _MISSING)
+            if value is _MISSING:
+                return False, None
+            self._data.move_to_end(key)
+            self._hits += 1
+            return True, value
+        finally:
+            self._lock.release()
+
     def put(self, key: Hashable, value: Any) -> None:
         """Insert ``key -> value``, evicting the LRU entry when full."""
 

@@ -75,13 +75,15 @@ class ServiceMetrics:
     latency and queue-wait windows.  A request refused at submission never
     queued: it reports zero latency and wait and stays out of the
     windows.  ``coalesced`` and ``max_queue_depth`` are counted at
-    submission; ``edits``, ``reuse_*`` and ``push_*`` at edit commit; the
-    subscription block is the hub's.
+    submission; ``pooled_reads`` at dispatch; ``edits``, ``reuse_*`` and
+    ``push_*`` at edit commit; the subscription block is the hub's.
 
     ``served`` counts completed answers (``ok`` plus ``partial``);
     ``refused`` counts explicit refusals; ``coalesced`` counts duplicate
     in-flight questions that shared an already-pending answer instead of
-    enqueueing.  ``deadlined`` counts requests that carried any deadline,
+    enqueueing; ``pooled_reads`` counts the reads whose catalog version did
+    not hold the answer yet, so they searched on the read pool instead of
+    being answered on the event loop.  ``deadlined`` counts requests that carried any deadline,
     refusals at submission included (a refusal is never a miss);
     ``deadline_misses`` those among them that expired in the queue or
     finished late — split into ``missed_in_queue`` (the deadline was already
@@ -110,6 +112,7 @@ class ServiceMetrics:
     served: int = 0
     refused: int = 0
     coalesced: int = 0
+    pooled_reads: int = 0
     edits: int = 0
     deadlined: int = 0
     deadline_misses: int = 0
@@ -211,6 +214,7 @@ class ServiceMetrics:
             "served": self.served,
             "refused": self.refused,
             "coalesced": self.coalesced,
+            "pooled_reads": self.pooled_reads,
             "edits": self.edits,
             "deadlined": self.deadlined,
             "deadline_misses": self.deadline_misses,

@@ -20,17 +20,24 @@ Design:
   of computing doomed answers; ``"fifo"`` is the static
   ``(priority, submission order)`` baseline (see
   :mod:`repro.service.scheduler`).
-* **Probes inline, searches fan out, edits serialize.**  Every catalog
-  version the service serves is decided before it is served — version 0
-  in :meth:`CatalogService.start`, every later one by the edit job that
-  derives it — so a dominance, equivalence or core read is a few lookups
-  in the version's class quotient
-  (:class:`~repro.engine.delta.QuotientMatrix`): the dispatcher answers
-  it itself, on the event loop, with no executor hop.  Membership and
-  view reports may search, so they are handed to a thread-pool executor
-  (``jobs`` workers) over the engine's lock-guarded memo tables and run
-  concurrently.  Both paths run the same serve body: tier choice, answer,
-  refusal of engine errors, completion.  Edit requests are applied by the
+* **Held answers inline, searches fan out, edits serialize.**  A read is
+  routed by whether its catalog version already holds the answer, not by
+  its kind.  Every version the service serves is decided before it is
+  served — version 0 in :meth:`CatalogService.start`, every later one by
+  the edit job that derives it — so a dominance, equivalence or core read
+  is a few lookups in the version's class quotient
+  (:class:`~repro.engine.delta.QuotientMatrix`).  A membership verdict
+  depends only on the generators, the query and the limits, so once
+  ``find_construction``'s memo holds it, it is a lookup too; a view
+  report depends only on the view and the limits, so once computed it is
+  kept with the version (:meth:`CatalogAnalyzer.analyzer`).  The
+  dispatcher answers all of these itself, on the event loop, with no
+  search and no executor hop.  Only a read that must search — a
+  membership nothing memoised, a view's first report — is handed to a
+  thread-pool executor (``jobs`` workers) over the engine's lock-guarded
+  memo tables, and such reads run concurrently.  Both ways run the same
+  serve body: tier choice, answer, refusal of engine errors, completion.
+  Edit requests are applied by the
   dispatcher itself — one at a time, never overlapping another edit — and
   swap the service's analyzer for the incrementally derived one.  An
   edit's engine work (derive, count reuse, diff the two versions, which
@@ -82,7 +89,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Hashable, Optional, Set
+from typing import Awaitable, Callable, Deque, Dict, Hashable, Optional, Set, Tuple
 
 from repro.engine.catalog import CatalogAnalyzer, ViewsInput
 from repro.engine.delta import CatalogDelta, CatalogSnapshot
@@ -144,11 +151,6 @@ from repro.views.view import View
 
 __all__ = ["CatalogService"]
 
-#: Read kinds answered from the catalog version's class quotient alone.
-#: Every served version is decided, so they are lookups, served inline on
-#: the event loop; every other read may search, on the pool.
-_TABLE_READS = frozenset({"dominance", "equivalence", "nonredundant_core"})
-
 #: Latency samples kept for the percentile snapshot.  A bounded recent
 #: window keeps a long-lived service's memory and metrics() cost constant;
 #: p50/p95 over the window track the current behaviour, which is what an
@@ -162,8 +164,8 @@ class _Totals:
 
     Event-loop thread only, so plain ints are safe.  Request outcomes are
     counted in :meth:`CatalogService._finish`; ``coalesced`` and
-    ``max_queue_depth`` at submission; ``edits``/``reuse_*``/
-    ``push_total_s`` at edit commit.
+    ``max_queue_depth`` at submission; ``pooled_reads`` at dispatch;
+    ``edits``/``reuse_*``/``push_total_s`` at edit commit.
     :meth:`CatalogService.metrics` unpacks the record whole and
     :meth:`CatalogService.metrics_registry` reads it.
     """
@@ -183,6 +185,7 @@ class _Totals:
     push_total_s: float = 0.0
     admission_refused: int = 0
     confidence_attached: int = 0
+    pooled_reads: int = 0
 
 
 class _TraceMarks:
@@ -235,9 +238,12 @@ class CatalogService:
         serial ``CatalogAnalyzer(views, limits=limits)`` run on the same
         catalog version.
     jobs:
-        Thread-pool workers serving, concurrently, the reads that may
-        search: membership and view reports.  Dominance, equivalence and
-        core reads need no worker.
+        Thread-pool workers serving, concurrently, the reads that must
+        search: a membership whose verdict is not memoised at its tier's
+        limits, and a view's first report.  Every other read — dominance,
+        equivalence and core reads, memoised memberships, kept view
+        reports — needs no worker; ``metrics().pooled_reads`` counts the
+        reads that used one.
     queue_limit:
         Admission-queue bound; submissions beyond it are refused.
     scheduler:
@@ -880,6 +886,7 @@ class CatalogService:
         reg.counter("repro_requests_served_total", "Requests answered (ok/partial)").set_total(totals.served)
         reg.counter("repro_requests_refused_total", "Requests refused").set_total(totals.refused)
         reg.counter("repro_requests_coalesced_total", "Duplicate reads riding an in-flight leader").set_total(totals.coalesced)
+        reg.counter("repro_reads_pooled_total", "Reads that searched on the read pool").set_total(totals.pooled_reads)
         reg.counter("repro_edits_total", "Catalog edits committed").set_total(totals.edits)
         reg.counter("repro_deadlined_total", "Requests submitted with a deadline").set_total(totals.deadlined)
         misses = reg.counter(
@@ -1079,11 +1086,13 @@ class CatalogService:
         # (possibly before this coroutine ever runs), but the dispatcher
         # must keep draining what was admitted.
         # Real backpressure needs the bound to cover dispatched-but-
-        # unfinished work, not just undispatched queue items: without this
-        # cap the dispatcher would pop every read straight into the
-        # executor's unbounded internal queue and `queue_limit` would never
-        # fill.  Two serve tasks per worker keep the pool saturated while
-        # overload piles up where submit() can see (and refuse) it.
+        # unfinished searches, not just undispatched queue items: without
+        # this cap the dispatcher would pop every read that must search
+        # straight into the executor's unbounded internal queue and
+        # `queue_limit` would never fill.  Two pooled reads per worker keep
+        # the pool saturated while overload piles up where submit() can see
+        # (and refuse) it.  A read answered on the loop holds no slot: it
+        # is finished before the next pop.
         max_inflight = self._jobs * 2
         while True:
             entry = await sched.get()
@@ -1119,26 +1128,29 @@ class CatalogService:
                 # dispatched earlier keep running on the analyzer they
                 # captured; reads dispatched later see the new version.
                 await self._apply_edit(item)
-            elif item.request.kind in _TABLE_READS:
-                # A table probe of a decided version is a few lookups, no
-                # search: served right here on the event loop (it never
-                # awaits), skipping the pool's two thread hops.
-                await self._serve(item, None)
-            else:
-                while len(self._serve_tasks) >= max_inflight:
-                    await asyncio.wait(
-                        tuple(self._serve_tasks),
-                        return_when=asyncio.FIRST_COMPLETED,
-                    )
-                # The scheduler's own sort key follows the read into the
-                # ordered pool, so among dispatched-but-unstarted work the
-                # workers also pick up EDF-earliest first (FIFO keys are
-                # arrival order — unchanged behaviour).
-                task = asyncio.get_running_loop().create_task(
-                    self._serve(item, sched.sort_key(entry))
+                continue
+            # Every read is served right here, on the event loop, from what
+            # its version already holds: no search, no await, no thread
+            # hop.  Only a read that must search comes back, and goes to
+            # the pool.
+            search = self._serve(item)
+            if search is None:
+                continue
+            self._totals.pooled_reads += 1
+            while len(self._serve_tasks) >= max_inflight:
+                await asyncio.wait(
+                    tuple(self._serve_tasks),
+                    return_when=asyncio.FIRST_COMPLETED,
                 )
-                self._serve_tasks.add(task)
-                task.add_done_callback(self._serve_tasks.discard)
+            # The scheduler's own sort key follows the read into the
+            # ordered pool, so among dispatched-but-unstarted work the
+            # workers also pick up EDF-earliest first (FIFO keys are
+            # arrival order — unchanged behaviour).
+            task = asyncio.get_running_loop().create_task(
+                search(sched.sort_key(entry))
+            )
+            self._serve_tasks.add(task)
+            task.add_done_callback(self._serve_tasks.discard)
 
     def _finish(
         self,
@@ -1540,14 +1552,20 @@ class CatalogService:
             pass
 
     # ------------------------------------------------------------ read path
-    async def _serve(self, item: _WorkItem, order_key: Optional[tuple]) -> None:
-        """Serve one read: tier choice, the answer, then ``_finish``.
+    def _serve(
+        self, item: _WorkItem
+    ) -> Optional[Callable[[tuple], Awaitable[None]]]:
+        """Serve one read on the event loop, or return the search it needs.
 
-        With an ``order_key`` the answer is computed on the ordered pool at
-        that key; with ``None`` it is computed inline, on the event loop,
-        which :meth:`_dispatch` chooses only for a table probe, so nothing
-        here awaits and no search runs on the loop.
-        Either way the same prologue, error handling and completion apply.
+        The budget tier is chosen once, here at dispatch, and a read its
+        tier refuses is refused.  Then :meth:`_answer` runs on the loop,
+        with no search: what it answers (or the engine error it raises,
+        refused with its own message) finishes the read here.  A read it
+        leaves open — a membership whose verdict is not memoised at the
+        tier's limits, or a view's first report — comes back as a
+        coroutine function: called with the scheduler's sort key, it runs
+        :meth:`_search` on the ordered pool at that key and finishes the
+        read.  Both ways share the tier, the version and the completion.
         """
 
         request = item.request
@@ -1573,40 +1591,51 @@ class CatalogService:
             self._finish(
                 item, status="refused", reason=reason, queue_wait=waited, computed=False
             )
-            return
+            return None
         # Snapshot the analyzer/version pair atomically (single-threaded
         # event loop; edits swap both together with no await in between).
         analyzer = self._analyzer
         version = self._version
         marks = item.trace
-        if marks is None:
-            job = lambda: self._answer(analyzer, request, tier, limits)  # noqa: E731
-        else:
-            # The thread that computes stamps the moment compute actually
-            # starts (closing the dispatch span, about zero for an inline
-            # read) with the same service clock — time.monotonic is
-            # cross-thread consistent.
-            def job(marks=marks):
-                marks.compute_started = self._clock()
-                return self._answer(analyzer, request, tier, limits)
-
+        if marks is not None:
+            marks.compute_started = self._clock()
         try:
-            if order_key is None:
-                status, answer, reason = job()
-            else:
-                status, answer, reason = await asyncio.wrap_future(
-                    self._pool.submit(order_key, job)
-                )
+            outcome = self._answer(analyzer, request, tier, limits)
         except Exception as error:  # noqa: BLE001 — never leave a caller hanging
-            # An engine error (unknown view, bad query) is refused with its
-            # own message; anything else is reported as internal.  The
-            # response keeps the tier chosen above: the limits it was served
-            # under.
-            status, answer = "refused", None
-            if isinstance(error, ReproError):
-                reason = str(error)
-            else:
-                reason = f"internal error: {type(error).__name__}: {error}"
+            outcome = _refusal(error)
+        if outcome is not None:
+            self._finish_read(item, outcome, tier, version, waited)
+            return None
+
+        def job():
+            if marks is not None:
+                # The worker stamps the moment the search actually starts,
+                # closing the dispatch span, with the same service clock —
+                # time.monotonic is cross-thread consistent.
+                marks.compute_started = self._clock()
+            return self._search(analyzer, request, tier, limits)
+
+        async def on_pool(order_key: tuple) -> None:
+            try:
+                outcome = await asyncio.wrap_future(self._pool.submit(order_key, job))
+            except Exception as error:  # noqa: BLE001 — never leave a caller hanging
+                outcome = _refusal(error)
+            self._finish_read(item, outcome, tier, version, waited)
+
+        return on_pool
+
+    def _finish_read(
+        self,
+        item: _WorkItem,
+        outcome: Tuple[str, object, str],
+        tier: str,
+        version: int,
+        waited: float,
+    ) -> None:
+        """Finish a read with its ``(status, answer, reason)``; the response
+        keeps the tier chosen at dispatch, the limits it was served under."""
+
+        status, answer, reason = outcome
         self._finish(
             item,
             status=status,
@@ -1623,53 +1652,105 @@ class CatalogService:
         request: ServiceRequest,
         tier: str,
         limits: SearchLimits,
-    ):
-        """Compute one read answer: on a pool thread, or inline on the event
-        loop for a table probe (see :meth:`_serve`).
+    ) -> Optional[Tuple[str, object, str]]:
+        """A read's answer from what its catalog version already holds, on the
+        event loop; ``None`` when only a search can find it (:meth:`_search`).
 
-        Base tier: exact answers through the shared analyzer — bit-identical
-        to a direct serial ``CatalogAnalyzer`` run at the same version.
-        Dominance, equivalence and core reads are lookups in the version's
-        class quotient, decided before the version was served
-        (:meth:`CatalogAnalyzer.dominates` /
+        Nothing here searches.  Base tier: exact answers through the shared
+        analyzer — bit-identical to a direct serial ``CatalogAnalyzer`` run
+        at the same version.  Dominance, equivalence and core reads are
+        lookups in the version's class quotient, decided before the version
+        was served (:meth:`CatalogAnalyzer.dominates` /
         :meth:`~CatalogAnalyzer.equivalent` probe the representatives'
-        decisions; the core is a per-version tuple).  Reduced tier:
-        membership runs the truncated search (positives are sound
-        witnesses, failed searches are explicit unknowns); the table reads
-        need no search, so they are answered exactly; a view report, which
-        runs full searches, is refused — a truncated one would risk wrong
-        verdicts.
+        decisions; the core is a per-version tuple), so they always answer.
+        A membership answers when ``find_construction``'s memo already
+        holds its verdict at the tier's limits
+        (:meth:`QueryCapacity.memoised_explanation`); a view report once
+        the view's report is kept (:attr:`ViewAnalyzer.analyzed`), through
+        :meth:`ViewAnalyzer.analyze`, with a fresh answer dict per read.
+        Reduced tier: the table reads need no search, so they are answered
+        exactly; a membership answers as in :meth:`_search`; a view report,
+        which runs full searches, is refused — a truncated one would risk
+        wrong verdicts.
         """
 
         kind = request.kind
-        if kind == "membership":
-            view = analyzer.view(request.subject)
-            if tier == TIER_BASE:
-                found = analyzer.capacity(request.subject).explain(request.query)
-                return "ok", found is not None, ""
-            found = QueryCapacity(view, limits).explain(request.query)
-            if found is not None:
-                # A construction is a sound witness at any budget.
-                return "ok", True, "witness found under reduced budgets"
-            return (
-                "partial",
-                None,
-                "budget-limited search found no construction; membership unknown",
-            )
-        if tier != TIER_BASE and kind == "view_report":
-            return (
-                "refused",
-                None,
-                "deadline too small for a view report, which runs full "
-                "searches; retry with a longer deadline or none",
-            )
         if kind == "dominance":
             return "ok", analyzer.dominates(request.subject, request.other), ""
         if kind == "equivalence":
             return "ok", analyzer.equivalent(request.subject, request.other), ""
-        if kind == "view_report":
-            report = analyzer.analyzer(request.subject).analyze()
-            return "ok", report.to_dict(), ""
         if kind == "nonredundant_core":
             return "ok", analyzer.nonredundant_core(), ""
+        if kind == "membership":
+            held, found = _capacity(analyzer, request, tier, limits).memoised_explanation(
+                request.query
+            )
+            return _membership(tier, found) if held else None
+        if kind == "view_report":
+            if tier != TIER_BASE:
+                return (
+                    "refused",
+                    None,
+                    "deadline too small for a view report, which runs full "
+                    "searches; retry with a longer deadline or none",
+                )
+            reporter = analyzer.analyzer(request.subject)
+            return ("ok", reporter.analyze().to_dict(), "") if reporter.analyzed else None
         raise ServiceError(f"unserveable request kind {kind!r}")  # pragma: no cover
+
+    def _search(
+        self,
+        analyzer: CatalogAnalyzer,
+        request: ServiceRequest,
+        tier: str,
+        limits: SearchLimits,
+    ) -> Tuple[str, object, str]:
+        """The answer of a read :meth:`_answer` left open, on a pool thread.
+
+        A membership runs the construction search at the tier's limits:
+        positives are sound witnesses at any budget, and a failed truncated
+        search is an explicit unknown.  A view report computes the view's
+        report, which the version keeps (:meth:`CatalogAnalyzer.analyzer`),
+        so the view's next report read is answered on the event loop.
+        """
+
+        if request.kind == "membership":
+            found = _capacity(analyzer, request, tier, limits).explain(request.query)
+            return _membership(tier, found)
+        return "ok", analyzer.analyzer(request.subject).analyze().to_dict(), ""
+
+
+def _capacity(
+    analyzer: CatalogAnalyzer, request: ServiceRequest, tier: str, limits: SearchLimits
+) -> QueryCapacity:
+    """The capacity a membership read asks: the version's shared one at the
+    base tier, a fresh one at the reduced tier's limits."""
+
+    if tier == TIER_BASE:
+        return analyzer.capacity(request.subject)
+    return QueryCapacity(analyzer.view(request.subject), limits)
+
+
+def _membership(tier: str, found) -> Tuple[str, object, str]:
+    """A membership read's outcome for the construction its tier found."""
+
+    if tier == TIER_BASE:
+        return "ok", found is not None, ""
+    if found is not None:
+        # A construction is a sound witness at any budget.
+        return "ok", True, "witness found under reduced budgets"
+    return (
+        "partial",
+        None,
+        "budget-limited search found no construction; membership unknown",
+    )
+
+
+def _refusal(error: Exception) -> Tuple[str, object, str]:
+    """A read's refusal for the exception its answer raised: an engine
+    error (unknown view, bad query) with its own message, anything else
+    as internal."""
+
+    if isinstance(error, ReproError):
+        return "refused", None, str(error)
+    return "refused", None, f"internal error: {type(error).__name__}: {error}"

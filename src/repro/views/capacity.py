@@ -21,6 +21,7 @@ from repro.views.closure import (
     as_template,
     closure_contains,
     find_construction,
+    memoised_construction,
 )
 from repro.views.view import View
 
@@ -93,6 +94,21 @@ class QueryCapacity:
         """
 
         return find_construction(self.generators(), query, self._limits)
+
+    def memoised_explanation(
+        self, query: Union[Expression, Template]
+    ) -> PyTuple[bool, Optional[Construction]]:
+        """``(True, explain(query))`` when the construction memo already holds
+        that answer, else ``(False, None)``; never searches.
+
+        The lookup behind :meth:`explain`, on its own
+        (:func:`~repro.views.closure.memoised_construction`): a membership
+        verdict depends only on the generators, the query and the limits,
+        so a held one is final.  A hit counts in the memo's stats; a miss
+        counts nothing until :meth:`explain` looks again and searches.
+        """
+
+        return memoised_construction(self.generators(), query, self._limits)
 
     def answerable_through_view(self, query: Union[Expression, Template]) -> bool:
         """Alias of :meth:`contains` with the paper's informal reading.

@@ -67,6 +67,7 @@ __all__ = [
     "named_generators",
     "construction_feasible",
     "find_construction",
+    "memoised_construction",
     "iter_constructions",
     "closure_contains",
     "as_template",
@@ -409,12 +410,7 @@ def find_construction(
     goal_template = as_template(goal)
     key = None
     if caches_enabled():
-        key = (
-            frozenset(generators.items()),
-            goal_template,
-            limits,
-            require_expression,
-        )
+        key = _construction_key(generators, goal_template, limits, require_expression)
         found, cached = _CONSTRUCTION_CACHE.lookup(key)
         if found:
             return cached
@@ -434,6 +430,40 @@ def find_construction(
     if key is not None:
         _CONSTRUCTION_CACHE.put(key, result)
     return result
+
+
+def memoised_construction(
+    generators: Mapping[RelationName, Template],
+    goal: Union[Expression, Template],
+    limits: SearchLimits = SearchLimits(),
+    require_expression: bool = True,
+) -> PyTuple[bool, Optional[Construction]]:
+    """:func:`find_construction`'s memoised answer, without a search.
+
+    ``(True, construction)`` when the ``closure.find_construction`` table
+    already holds the answer to exactly this question (the construction
+    may be ``None``: a memoised negative), else ``(False, None)``.  The key
+    is :func:`find_construction`'s own, and nothing here searches: the goal
+    is at most converted through the :func:`as_template` memo
+    (Algorithm 2.1.1).  A hit counts as a hit; a miss counts nothing,
+    since the :func:`find_construction` call that follows a miss counts
+    it.  With the memo tables off it always misses.
+    """
+
+    if not caches_enabled():
+        return False, None
+    return _CONSTRUCTION_CACHE.probe(
+        _construction_key(generators, as_template(goal), limits, require_expression)
+    )
+
+
+def _construction_key(
+    generators: Mapping[RelationName, Template],
+    goal_template: Template,
+    limits: SearchLimits,
+    require_expression: bool,
+):
+    return (frozenset(generators.items()), goal_template, limits, require_expression)
 
 
 def iter_constructions(

@@ -93,6 +93,23 @@ class TestAnalysisReport:
         assert report.is_simplified
         assert report.simplified_size == report.view_size
 
+    def test_report_is_computed_once_and_kept(self, padded_view, monkeypatch):
+        analyzer = ViewAnalyzer(padded_view)
+        assert not analyzer.analyzed
+        computed = []
+        original = ViewAnalyzer._compute_report
+
+        def counted(self):
+            computed.append(self)
+            return original(self)
+
+        monkeypatch.setattr(ViewAnalyzer, "_compute_report", counted)
+        report = analyzer.analyze()
+        assert analyzer.analyzed
+        assert analyzer.analyze() is report
+        assert computed == [analyzer]
+        assert report == ViewAnalyzer(padded_view).analyze()
+
     def test_report_serialises(self, split_view):
         report = ViewAnalyzer(split_view).analyze()
         payload = report.to_dict()

@@ -643,6 +643,51 @@ class TestIncremental:
         )
         assert dropped.dominance_matrix() == fresh_dropped.dominance_matrix()
 
+    @pytest.mark.parametrize(
+        "limits",
+        [SearchLimits(), SearchLimits(max_candidates=2, max_subsets=3)],
+        ids=["default", "starved"],
+    )
+    def test_view_reports_kept_across_edits(
+        self, small_catalog, q_schema, limits, cache_mode, monkeypatch
+    ):
+        base = CatalogAnalyzer(small_catalog, limits=limits)
+        kept = base.view_reports()
+        grown = View(
+            list(small_catalog["Weak"].definitions)
+            + [(parse_expression("pi{C}(q)", q_schema), RelationName("Y2", "C"))],
+            q_schema,
+        )
+        extra = View(
+            [(parse_expression("pi{B}(q)", q_schema), RelationName("Z1", "B"))],
+            q_schema,
+        )
+        derived = (
+            base.with_view("Weak", grown).with_view("Extra", extra).without_view("Joined")
+        )
+        # The unchanged view keeps its capacity, its analyzer and the very
+        # report object; the replaced one gets new ones.
+        assert derived.capacity("Split") is base.capacity("Split")
+        assert derived.analyzer("Split") is base.analyzer("Split")
+        assert derived.analyzer("Split").analyze() is kept["Split"]
+        assert derived.capacity("Weak") is not base.capacity("Weak")
+        assert derived.analyzer("Weak") is not base.analyzer("Weak")
+        computed = []
+        original = ViewAnalyzer._compute_report
+
+        def counted(self):
+            computed.append(self.view)
+            return original(self)
+
+        monkeypatch.setattr(ViewAnalyzer, "_compute_report", counted)
+        reports = derived.view_reports()
+        monkeypatch.undo()
+        assert computed == [extra, grown]  # in name order: Extra, Weak
+        assert reports["Split"] is kept["Split"]
+        assert derived.view_reports() == reports  # kept: nothing recomputed
+        for name, view in derived.views.items():
+            assert reports[name] == ViewAnalyzer(view, limits).analyze()
+
     def test_without_view_matches_fresh(self, small_catalog):
         base = CatalogAnalyzer(small_catalog)
         base.dominance_matrix()

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 
 import pytest
 
@@ -163,6 +164,7 @@ class TestTraffic:
         assert "traffic: 20 events" in output
         assert "0 mismatches" in output
         assert "decision reuse" in output
+        assert re.search(r"served \d+ \(coalesced \d+, pooled \d+\)", output)
 
     def test_traffic_json_summary(self):
         status, output = run_cli(
@@ -176,6 +178,7 @@ class TestTraffic:
         metrics = summary["metrics"]
         assert metrics["served"] + metrics["refused"] > 0
         assert "reuse" in metrics and "cache" in metrics
+        assert 0 <= metrics["pooled_reads"] <= metrics["served"] + metrics["refused"]
 
     def test_traffic_with_deadlines_exercises_misses(self):
         status, output = run_cli(

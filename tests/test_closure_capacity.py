@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.perf import cache_stats, caches_enabled, clear_caches, configure
 from repro.relalg import format_expression, parse_expression
 from repro.relational import RelationName
 from repro.templates import substitute, templates_equivalent, template_from_expression
@@ -14,6 +15,55 @@ from repro.views import (
     iter_constructions,
     named_generators,
 )
+from repro.views.closure import memoised_construction
+
+
+@pytest.fixture
+def memo(request):
+    """Memo tables on and empty, or off, for one test."""
+
+    previous = caches_enabled()
+    configure(enabled=request.param)
+    clear_caches()
+    yield request.param
+    configure(enabled=previous)
+    clear_caches()
+
+
+def _construction_counts():
+    stats = cache_stats()["closure.find_construction"]
+    return stats.hits, stats.misses
+
+
+class TestMemoisedConstruction:
+    """The lookup-only twin of find_construction never searches."""
+
+    @pytest.mark.parametrize("memo", [True], indirect=True)
+    def test_answers_only_what_find_construction_memoised(self, memo, split_view, q_schema):
+        generators = split_view.defining_templates()
+        member = parse_expression("pi{A,B}(q) & pi{B,C}(q)", q_schema)
+        outsider = parse_expression("q", q_schema)
+        for goal in (member, outsider):
+            before = _construction_counts()
+            assert memoised_construction(generators, goal) == (False, None)
+            assert _construction_counts() == before  # a miss counts nothing
+            found = find_construction(generators, goal)
+            assert _construction_counts() == (before[0], before[1] + 1)
+            assert memoised_construction(generators, goal) == (True, found)
+            assert _construction_counts() == (before[0] + 1, before[1] + 1)
+        capacity = QueryCapacity(split_view)
+        assert capacity.memoised_explanation(member) == (True, capacity.explain(member))
+        # Another limits object is another question.
+        starved = SearchLimits(max_candidates=1)
+        assert memoised_construction(generators, member, starved) == (False, None)
+
+    @pytest.mark.parametrize("memo", [False], indirect=True)
+    def test_always_misses_with_the_memo_tables_off(self, memo, split_view, q_schema):
+        generators = split_view.defining_templates()
+        goal = parse_expression("pi{A}(q)", q_schema)
+        assert find_construction(generators, goal) is not None
+        assert memoised_construction(generators, goal) == (False, None)
+        assert QueryCapacity(split_view).memoised_explanation(goal) == (False, None)
 
 
 class TestClosureContains:

@@ -608,7 +608,7 @@ class TestMetricsSchema:
         )
         snapshot = lane["metrics"].to_dict()
         assert set(snapshot) == {
-            "served", "refused", "coalesced", "edits", "deadlined",
+            "served", "refused", "coalesced", "pooled_reads", "edits", "deadlined",
             "deadline_misses", "deadline_miss_rate", "missed_in_queue",
             "missed_computing", "shed", "shed_rate", "latency_p50_s",
             "latency_p95_s", "queue_wait_p50_s", "queue_wait_p95_s",

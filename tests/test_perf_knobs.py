@@ -77,6 +77,17 @@ class TestObservability:
         assert isinstance(snapshot, CacheStats)
         assert snapshot.contention == 0
 
+    def test_probe_counts_hits_but_not_misses(self, scratch_cache):
+        assert scratch_cache.probe("k") == (False, None)
+        scratch_cache.put("k", "v")
+        scratch_cache.put("other", "w")
+        assert scratch_cache.probe("k") == (True, "v")
+        stats = scratch_cache.stats()
+        assert (stats.hits, stats.misses) == (1, 0)
+        # A hit refreshes recency as lookup() does: "other" is evicted first.
+        scratch_cache.resize(1)
+        assert scratch_cache.lookup("k") == (True, "v")
+
     def test_clear_resets_all_counters(self, scratch_cache):
         scratch_cache.lookup("missing")
         scratch_cache.put("k", "v")

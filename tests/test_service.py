@@ -10,20 +10,29 @@ The contract under test, mirroring the service docs:
   rate is observable (and positive for signature-class copies);
 * duplicate in-flight questions coalesce, the bounded admission queue
   refuses when full, and the metrics snapshot's derived ratios survive
-  their empty-denominator edge cases.
+  their empty-denominator edge cases;
+* a read whose version already holds the answer is answered on the event
+  loop, only a read that must search uses the pool, and no search ever
+  runs on the loop.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
+import sys
 import threading
 from collections import Counter
 
 import pytest
 
 import repro.engine.catalog as catalog_module
+import repro.views.closure as closure_module
+import repro.views.equivalence as equivalence_module
+from repro.core import ViewAnalyzer
 from repro.engine import CatalogAnalyzer
 from repro.exceptions import ReproError
+from repro.perf import cache_stats, caches_enabled, clear_caches, configure
 from repro.relalg import parse_expression
 from repro.relational import DatabaseSchema, RelationName
 from repro.service import (
@@ -34,6 +43,7 @@ from repro.service import (
     ServiceRequest,
     percentile,
     replay,
+    run_traffic,
     verify_replay,
 )
 from repro.service.deadline import TIER_BASE, TIER_REDUCED, TIER_REFUSE
@@ -42,6 +52,7 @@ from repro.views import SearchLimits, View
 from repro.workloads import (
     SchemaSpec,
     random_schema,
+    subscriber_mix,
     traffic_mix,
     view_catalog,
 )
@@ -73,6 +84,19 @@ def small_catalog(q_schema):
         [(parse_expression("pi{A}(q)", q_schema), RelationName("Y1", "A"))], q_schema
     )
     return {"Split": split, "Joined": joined, "Weak": weak}
+
+
+@pytest.fixture
+def memo_on():
+    """Memo tables on and empty, whatever the environment says: where a
+    membership read is served depends on whether its verdict is memoised."""
+
+    previous = caches_enabled()
+    configure(enabled=True)
+    clear_caches()
+    yield
+    configure(enabled=previous)
+    clear_caches()
 
 
 #: A policy whose reduced tier is entered by any finite deadline below 1000s
@@ -521,14 +545,22 @@ def _count_pool_submits(monkeypatch):
 
 
 class TestReadPathSplit:
-    """Table probes answer inline on the event loop, every served version
-    being decided; membership and view reports go to the pool."""
+    """A read its version already holds the answer to is answered inline on
+    the event loop: table reads of a decided version, memberships whose
+    verdict is memoised, view reports once kept.  Only a read that must
+    search goes to the pool."""
 
-    def test_warm_table_probes_skip_the_pool(self, small_catalog, q_schema, monkeypatch):
+    def test_warm_table_probes_skip_the_pool(
+        self, small_catalog, q_schema, memo_on, monkeypatch
+    ):
         query = parse_expression("pi{A}(q)", q_schema)
 
         async def main():
             async with CatalogService(small_catalog) as service:
+                # Warm the two reads that can search: the verdict is then
+                # memoised and the report kept.
+                await service.membership("Split", query)
+                await service.view_report("Split")
                 submits = _count_pool_submits(monkeypatch)
                 counts = {}
                 for kind, read in (
@@ -549,9 +581,78 @@ class TestReadPathSplit:
             "dominance": 0,
             "equivalence": 0,
             "nonredundant_core": 0,
-            "membership": 1,
-            "view_report": 1,
+            "membership": 0,
+            "view_report": 0,
         }
+
+    def test_cold_reads_search_on_the_pool_once(
+        self, small_catalog, q_schema, memo_on, monkeypatch
+    ):
+        # A membership nothing memoised and a view's first report each need
+        # one search on the pool; asked again, each is answered inline.
+        cold = parse_expression("q", q_schema)
+
+        async def main():
+            async with CatalogService(small_catalog) as service:
+                submits = _count_pool_submits(monkeypatch)
+                counts = []
+                for read in (
+                    lambda: service.membership("Split", cold),
+                    lambda: service.membership("Split", cold),
+                    lambda: service.view_report("Joined"),
+                    lambda: service.view_report("Joined"),
+                ):
+                    before = len(submits)
+                    response = await read()
+                    assert response.ok, response.reason
+                    counts.append(len(submits) - before)
+                monkeypatch.undo()
+                return counts, service.metrics().pooled_reads
+
+        counts, pooled = run(main())
+        assert counts == [1, 0, 1, 0]
+        assert pooled == 2
+
+    def test_membership_reads_count_each_question_once(
+        self, small_catalog, q_schema, memo_on
+    ):
+        # The inline lookup counts a hit and no miss; the search that
+        # follows a miss counts that miss, once.
+        query = parse_expression("q", q_schema)
+        table = "closure.find_construction"
+
+        async def main():
+            async with CatalogService(small_catalog) as service:
+                deltas = []
+                for _ in range(2):  # cold, then warm
+                    before = cache_stats()[table]
+                    response = await service.membership("Split", query)
+                    assert response.ok and response.answer is False
+                    after = cache_stats()[table]
+                    deltas.append(
+                        (after.hits - before.hits, after.misses - before.misses)
+                    )
+                return deltas
+
+        assert run(main()) == [(0, 1), (1, 0)]
+
+    def test_each_response_gets_its_own_answer_dict(self, small_catalog):
+        expected = CatalogAnalyzer(small_catalog).analyzer("Split").analyze().to_dict()
+
+        async def main():
+            async with CatalogService(small_catalog) as service:
+                answers = []
+                for _ in range(3):  # the first report, then the kept one twice
+                    response = await service.view_report("Split")
+                    answers.append(response.answer)
+                    assert response.answer == expected
+                    response.answer["view_size"] = -1
+                    response.answer["definitions"][0]["name"] = "changed"
+                    response.answer["simplified_members"].append("junk")
+                return answers
+
+        answers = run(main())
+        assert all(answer["view_size"] == -1 for answer in answers)
 
     def test_first_probes_of_each_version_skip_the_pool(
         self, small_catalog, q_schema, monkeypatch
@@ -583,14 +684,16 @@ class TestReadPathSplit:
         assert submits == 0
 
     def test_warm_probe_answers_while_the_only_worker_is_busy(
-        self, small_catalog, q_schema, monkeypatch
+        self, small_catalog, q_schema, memo_on, monkeypatch
     ):
-        # The one worker is held inside a membership read; a warm dominance
-        # read needs no worker, so it is answered before the hold ends.
-        # The timeouts only guard against a hang.
+        # The one worker is held inside the search of a membership whose
+        # construction is not memoised; a warm membership, a kept view
+        # report and a dominance read need no worker, so each is answered
+        # before the hold ends.  The timeouts only guard against a hang.
         entered = threading.Event()
         release = threading.Event()
-        original = CatalogService._answer
+        original = CatalogService._search
+        warm = parse_expression("pi{A}(q)", q_schema)
 
         def held(self, analyzer, request, tier, limits):
             if request.kind == "membership":
@@ -600,28 +703,37 @@ class TestReadPathSplit:
 
         async def main():
             async with CatalogService(small_catalog, jobs=1) as service:
-                await service.nonredundant_core()
-                monkeypatch.setattr(CatalogService, "_answer", held)
+                await service.membership("Split", warm)
+                await service.view_report("Split")
+                monkeypatch.setattr(CatalogService, "_search", held)
                 loop = asyncio.get_running_loop()
-                member = loop.create_task(
-                    service.membership("Split", parse_expression("pi{A}(q)", q_schema))
+                cold = loop.create_task(
+                    service.membership("Split", parse_expression("q", q_schema))
                 )
                 try:
                     assert await loop.run_in_executor(None, entered.wait, 30)
-                    probe = await asyncio.wait_for(
-                        service.dominance("Joined", "Weak"), timeout=30
-                    )
-                    held_meanwhile = not member.done()
+                    answered_meanwhile = [
+                        await asyncio.wait_for(read, timeout=30)
+                        for read in (
+                            service.membership("Split", warm),
+                            service.view_report("Split"),
+                            service.dominance("Joined", "Weak"),
+                        )
+                    ]
+                    held_meanwhile = not cold.done()
                 finally:
                     release.set()
-                answered = await asyncio.wait_for(member, timeout=30)
+                searched = await asyncio.wait_for(cold, timeout=30)
                 monkeypatch.undo()
-                return probe, held_meanwhile, answered
+                return answered_meanwhile, held_meanwhile, searched
 
-        probe, held_meanwhile, answered = run(main())
+        (member, report, probe), held_meanwhile, searched = run(main())
+        assert member.ok and member.answer is True
+        assert report.ok
+        assert report.answer == CatalogAnalyzer(small_catalog).analyzer("Split").analyze().to_dict()
         assert probe.ok and probe.answer is True
         assert held_meanwhile
-        assert answered.ok and answered.answer is True
+        assert searched.ok and searched.answer is False
 
     def test_warm_probe_of_unknown_view_is_refused_with_the_engine_message(
         self, small_catalog, monkeypatch
@@ -1037,3 +1149,105 @@ class TestMetricsGuards:
         assert "hit_rate" in rendered["cache"]["closure.find_construction"]
         assert "contention" in rendered["cache"]["closure.find_construction"]
         assert "eviction_pressure" in rendered["cache"]["closure.find_construction"]
+
+
+def _replay_catalog():
+    schema = random_schema(SchemaSpec(relations=3, arity=2, universe_size=4), seed=23)
+    catalog = view_catalog(
+        schema, classes=3, copies_per_class=2, members=2, atoms_per_query=2, seed=9
+    )
+    return schema, catalog
+
+
+def _on_event_loop() -> bool:
+    try:
+        asyncio.get_running_loop()
+    except RuntimeError:
+        return False
+    return True
+
+
+def _record_search_threads(monkeypatch):
+    """Wrap every call that searches or computes a view report, at every
+    module attribute that holds it (the report method on its class).  Each
+    call records its name, its thread and whether that thread was running
+    an event loop."""
+
+    calls = []
+
+    def recorded(name, original):
+        @functools.wraps(original)
+        def wrapper(*args, **kwargs):
+            calls.append(
+                (name, threading.current_thread().name, _on_event_loop())
+            )
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for owner, name in (
+        (closure_module, "_search_constructions"),
+        (closure_module, "construction_feasible"),
+        (equivalence_module, "capacity_dominance"),
+    ):
+        original = getattr(owner, name)
+        wrapper = recorded(name, original)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("repro") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    monkeypatch.setattr(
+        ViewAnalyzer,
+        "_compute_report",
+        recorded("_compute_report", ViewAnalyzer._compute_report),
+    )
+    return calls
+
+
+class TestNoSearchOnTheLoop:
+    def test_replay_with_edits_and_subscribers_searches_only_off_the_loop(
+        self, memo_on, monkeypatch
+    ):
+        schema, catalog = _replay_catalog()
+        events = traffic_mix(
+            schema, catalog, requests=80, edit_rate=0.2, seed=11, deadline_s=30.0,
+            tiny_deadline_fraction=0.1,
+        )
+        calls = _record_search_threads(monkeypatch)
+        lane = run_traffic(
+            catalog, events, jobs=2,
+            subscriber_specs=subscriber_mix(catalog, subscribers=2, seed=11),
+        )
+        monkeypatch.undo()
+        assert lane["verdict"]["mismatches"] == []
+        assert lane["subscriptions"]["verdict"]["mismatches"] == []
+        assert lane["subscriptions"]["verdict"]["silent_drops"] == 0
+        assert [call for call in calls if call[2]] == []
+        # Every kind of search ran in the service, on its executor threads.
+        in_service = {name for name, thread, _ in calls if thread.startswith("repro-service")}
+        assert in_service == {
+            "_search_constructions",
+            "construction_feasible",
+            "capacity_dominance",
+            "_compute_report",
+        }
+
+
+class TestPooledReads:
+    def test_repeated_read_only_pass_pools_nothing(self, memo_on):
+        schema, catalog = _replay_catalog()
+        events = traffic_mix(schema, catalog, requests=40, edit_rate=0.0, seed=5)
+
+        async def main():
+            async with CatalogService(catalog, queue_limit=len(events) + 8) as service:
+                await replay(service, events)
+                warm_up = service.metrics().pooled_reads
+                responses = await replay(service, events)
+                return warm_up, responses, service.metrics(), service.metrics_registry()
+
+        warm_up, responses, metrics, registry = run(main())
+        assert all(response.ok for response in responses)
+        assert warm_up > 0  # first memberships and first reports searched
+        assert metrics.pooled_reads == warm_up
+        assert metrics.to_dict()["pooled_reads"] == warm_up
+        series = registry.to_dict()["repro_reads_pooled_total"]["series"]
+        assert series == [{"labels": {}, "value": warm_up}]
