@@ -431,9 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
         "so a crash during recovery changes nothing)",
     )
     recover.add_argument(
-        "--jobs", type=int, default=1, help="workers for the verification analyzer"
-    )
-    recover.add_argument(
         "--json", action="store_true", help="emit the recovery report as JSON"
     )
 
@@ -1159,7 +1156,7 @@ def _cmd_bench_history(args, out) -> int:
 def _cmd_recover(args, out) -> int:
     from repro.service import recover_service
 
-    result = recover_service(args.journal, jobs=args.jobs, repair=args.repair)
+    result = recover_service(args.journal, repair=args.repair)
     mismatches = result.verify() if args.verify else None
     if args.json:
         payload = result.to_dict()

@@ -28,10 +28,13 @@ matrix as one batched job:
   :mod:`repro.engine.parallel`).  Results are bit-identical across backends.
 * **Incremental updates.**  :meth:`CatalogAnalyzer.with_view` /
   :meth:`CatalogAnalyzer.without_view` derive a new analyzer that keeps every
-  decision not involving the changed view and refreshes decisions *against*
-  a changed dominated view through
-  :func:`repro.views.equivalence.update_dominance`, which reuses the
-  per-query construction outcomes of the previous witness.
+  decision, signature, capacity and view analyzer of the views the edit
+  leaves unchanged.  An added or replaced view's pairs are decided like any
+  other, through the shared per-view capacities: Lemma 1.5.4 asks one
+  membership question per defining query, and
+  :func:`repro.views.closure.find_construction`'s memo keys each question
+  by generators, goal and limits, so the queries a replaced view kept are
+  memo hits against every unchanged dominating view.
 
 Soundness note on dedup: equal canonical keys imply equal query mappings,
 so sharing a verdict across a class is exact whenever the
@@ -69,23 +72,13 @@ from repro.engine.delta import (
     core_from_matrix,
     linked_classes,
 )
-from repro.engine.parallel import (
-    Pair,
-    PairOutcome,
-    pair_outcome,
-    run_pairs_process,
-    run_pairs_serial,
-)
+from repro.engine.parallel import Pair, run_pairs_process
 from repro.exceptions import CapacityError
 from repro.obs.profile import ENGINE_PROFILE as _PROFILE
 from repro.perf.signature import canonical_key
 from repro.views.capacity import QueryCapacity
 from repro.views.closure import SearchLimits
-from repro.views.equivalence import (
-    DominanceWitness,
-    capacity_dominance,
-    update_dominance,
-)
+from repro.views.equivalence import DominanceWitness, capacity_dominance
 from repro.views.view import View
 
 __all__ = [
@@ -212,8 +205,8 @@ class CatalogAnalyzer:
     jobs:
         Worker count for the pairwise fan-out: ``1`` runs the serial loop,
         more runs a process pool of that width, fed in chunks sized by
-        :func:`repro.engine.parallel.process_chunksize`.  Process workers
-        return verdicts, not witnesses.
+        :func:`repro.engine.parallel.process_chunksize`.  Each worker
+        decides through its own analyzer over the shipped catalog.
 
     The decision store holds one verdict per ordered pair of signature-class
     representatives.  An analyzer is one catalog version, and its state is
@@ -223,9 +216,10 @@ class CatalogAnalyzer:
     grouped once, and the first call that needs every representative pair
     decided (any pair question or catalog-wide read) decides what is
     missing and keeps the name → representative map.  A later pair
-    question (:meth:`dominates`, :meth:`equivalent`,
-    :meth:`dominance_witness`) is then two lookups in that map and one in
-    the decision store, and :meth:`decision_reuse` a stored count.  The
+    question (:meth:`dominates`, :meth:`equivalent`) is then two lookups in
+    that map and one in the decision store, and :meth:`decision_reuse` a
+    stored count; the store keeps verdicts only, and
+    :meth:`dominance_witness` computes a witness when asked.  The
     first catalog-wide read (:meth:`dominance_matrix`, :meth:`snapshot`,
     :meth:`analyze`, :meth:`diff`) builds the version's
     :class:`~repro.engine.delta.QuotientMatrix` in O(N + C²) and keeps it;
@@ -279,7 +273,7 @@ class CatalogAnalyzer:
         self._capacities: Dict[str, QueryCapacity] = {}
         self._analyzers: Dict[str, ViewAnalyzer] = {}
         # Decided representative pairs, carried across incremental updates.
-        self._decisions: Dict[Pair, PairOutcome] = {}
+        self._decisions: Dict[Pair, bool] = {}
         # Capacity signatures by name, carried across incremental updates
         # for the views they leave unchanged.
         self._signatures: Dict[str, Hashable] = {}
@@ -414,17 +408,16 @@ class CatalogAnalyzer:
         return representative
 
     # ----------------------------------------------------------- decisions
-    def _decide(self, pair: Pair) -> DominanceWitness:
-        """One dominance decision through the shared capacity objects."""
+    def _decide(self, pair: Pair) -> bool:
+        """One dominance verdict through the shared capacity objects: the
+        serial loop's and every process worker's only way to decide."""
 
         first, second = pair
-        return capacity_dominance(self.capacity(first), self._views[second])
+        return capacity_dominance(self.capacity(first), self._views[second]).holds
 
-    def _run_pairs(self, pairs: Sequence[Pair]) -> Dict[Pair, PairOutcome]:
-        if not pairs:
-            return {}
-        if self._jobs <= 1 or len(pairs) == 1:
-            return run_pairs_serial(pairs, self._decide)
+    def _run_pairs(self, pairs: Sequence[Pair]) -> Dict[Pair, bool]:
+        if self._jobs <= 1 or len(pairs) <= 1:
+            return {pair: self._decide(pair) for pair in pairs}
         catalog_text = serialize_catalog(
             Catalog(
                 schema=next(iter(self._views.values())).underlying_schema,
@@ -522,7 +515,7 @@ class CatalogAnalyzer:
             quotient = self._quotient = QuotientMatrix(
                 classes,
                 {
-                    (a, b): decisions[(ra, rb)][0]
+                    (a, b): decisions[(ra, rb)]
                     for a, ra in heads
                     for b, rb in heads
                     if a != b
@@ -568,7 +561,7 @@ class CatalogAnalyzer:
         if first == second:
             return True
         ra, rb = self._representative_pair(first, second)
-        return True if ra == rb else self._decisions[(ra, rb)][0]
+        return True if ra == rb else self._decisions[(ra, rb)]
 
     def equivalent(self, first: str, second: str) -> bool:
         """Whether the two views have equal capacity (mutual dominance),
@@ -581,21 +574,25 @@ class CatalogAnalyzer:
         ra, rb = self._representative_pair(first, second)
         if ra == rb:
             return True
-        return self._decisions[(ra, rb)][0] and self._decisions[(rb, ra)][0]
+        return self._decisions[(ra, rb)] and self._decisions[(rb, ra)]
 
     def dominance_witness(self, first: str, second: str) -> Optional[DominanceWitness]:
-        """The stored witness for the representative pair of ``(first, second)``.
+        """The witness for the representative pair of ``(first, second)``.
 
-        ``None`` when the pair is same-class (dominance holds by capacity
-        equality, no witness is materialised) or when the decision was made
-        on the process backend (workers return verdicts, not witnesses).
+        The version stores verdicts only, so the witness is computed when
+        asked, through the dominating representative's shared capacity
+        (with the memo tables on, its questions are memo hits).  Its
+        ``holds`` is the stored verdict, whichever backend decided the
+        pair or whether recovery adopted it.  ``None`` when the pair is
+        same-class: dominance holds by capacity equality and there is no
+        witness to show.
         """
 
         self.view(first), self.view(second)
         ra, rb = self._representative_pair(first, second)
         if ra == rb:
             return None
-        return self._decisions[(ra, rb)][2]
+        return capacity_dominance(self.capacity(ra), self._views[rb])
 
     # ------------------------------------------------------------- analyses
     def equivalence_classes(self) -> PyTuple[PyTuple[str, ...], ...]:
@@ -742,7 +739,6 @@ class CatalogAnalyzer:
         views: ViewsInput,
         matrix: Mapping[Pair, bool],
         limits: SearchLimits = SearchLimits(),
-        jobs: int = 1,
     ) -> "CatalogAnalyzer":
         """An analyzer whose decision store is pre-seeded from ``matrix``.
 
@@ -754,9 +750,9 @@ class CatalogAnalyzer:
         before the quotient rendering — so the recovered analyzer adopts
         those verdicts instead of
         re-deciding every pair — recovery costs folds and parses, not
-        homomorphism searches.  Adopted decisions carry no witnesses (the
-        same contract as the process backend, whose workers return verdicts
-        only).  Trust is explicitly *not* assumed: the recovery path
+        homomorphism searches.  The analyzer runs the serial loop: a matrix
+        that covers the catalog leaves no head pair to decide.  Trust is
+        explicitly *not* assumed: the recovery path
         cross-checks the adopted state against the journal's folded deltas,
         and :func:`repro.service.replay.verify_recovery` against a fresh
         serial analyzer that recomputes everything.
@@ -771,7 +767,7 @@ class CatalogAnalyzer:
         every later representative scan.
         """
 
-        analyzer = cls(views, limits=limits, jobs=jobs)
+        analyzer = cls(views, limits=limits)
         for a, b in matrix:
             if a not in analyzer._views or b not in analyzer._views:
                 raise CapacityError(
@@ -783,7 +779,7 @@ class CatalogAnalyzer:
         for a in heads:
             for b in heads:
                 if a != b and (a, b) in matrix:
-                    analyzer._decisions[(a, b)] = (bool(matrix[(a, b)]), (), None)
+                    analyzer._decisions[(a, b)] = bool(matrix[(a, b)])
         return analyzer
 
     # ---------------------------------------------------------- incremental
@@ -797,9 +793,9 @@ class CatalogAnalyzer:
         # analyzer concurrently: iterating a live dict while another thread
         # inserts would raise RuntimeError mid-derivation.
         unchanged = {name for name, view in views.items() if view is self._views.get(name)}
-        for (a, b), outcome in dict(self._decisions).items():
+        for (a, b), holds in dict(self._decisions).items():
             if a in unchanged and b in unchanged:
-                derived._decisions[(a, b)] = outcome
+                derived._decisions[(a, b)] = holds
         for name, signature in dict(self._signatures).items():
             if name in unchanged:
                 derived._signatures[name] = signature
@@ -814,31 +810,17 @@ class CatalogAnalyzer:
     def with_view(self, name: str, view: View) -> "CatalogAnalyzer":
         """A new analyzer with ``name`` added or replaced by ``view``.
 
-        Decisions between unchanged views carry over untouched.  When
-        ``name`` replaces an existing view, decisions *against* the old view
-        (old view on the dominated side) are refreshed through
-        :func:`repro.views.equivalence.update_dominance`, reusing the
-        previous witness's per-query construction outcomes for every
-        defining query the view kept — the incremental-dominance path for a
-        view that gained or lost a member.
+        Derived as :meth:`without_view` derives: what the unchanged views
+        hold carries over, and a new ``view`` under ``name`` starts with no
+        decision, signature, capacity or view analyzer.  A replaced view is
+        decided exactly as an added one; with the memo tables on, the
+        questions its kept defining queries put to an unchanged view's
+        capacity are memo hits.
         """
 
-        old_view = self._views.get(name)
         views = dict(self._views)
         views[name] = view
-        derived = self._derive(views)
-        if old_view is not None and old_view != view:
-            for (a, b), outcome in dict(self._decisions).items():
-                witness = outcome[2]
-                if b != name or a == name or witness is None:
-                    continue
-                if a not in derived._views or derived._views[a] is not self._views[a]:
-                    continue
-                refreshed = update_dominance(
-                    self._views[a], view, witness, old_view, self._limits
-                )
-                derived._decisions[(a, name)] = pair_outcome(refreshed)
-        return derived
+        return self._derive(views)
 
     def without_view(self, name: str) -> "CatalogAnalyzer":
         """A new analyzer with ``name`` removed; unrelated decisions carry over."""

@@ -15,9 +15,9 @@ so :class:`repro.engine.CatalogAnalyzer` runs them on one of two backends:
   overhead amortises over several decisions — pool startup dominates small
   catalogs either way, but on big catalogs the chunked submission keeps
   workers saturated instead of round-tripping one name pair at a time.
-  Workers return ``(holds, missing-names)`` rather than full witnesses;
-  decisions made this way therefore carry no construction witnesses in the
-  parent.
+  Each worker builds one analyzer over the shipped catalog and decides its
+  pairs through the method the serial loop calls, returning
+  ``(pair, holds)`` verdicts.
 
 Both backends compute each matrix cell as a pure function of
 ``(dominating view, dominated view, limits)``, so their results are
@@ -28,73 +28,40 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple
-from typing import Callable, Dict, List, Optional, Sequence, Tuple as PyTuple
+from typing import Dict, List, Sequence, Tuple as PyTuple
 
 from repro.views.closure import SearchLimits
-from repro.views.equivalence import DominanceWitness
 
 __all__ = [
     "Pair",
-    "PairOutcome",
-    "pair_outcome",
     "process_chunksize",
-    "run_pairs_serial",
     "run_pairs_process",
 ]
 
 Pair = PyTuple[str, str]
 
-#: ``(holds, missing view-member names, witness when the backend kept one)``.
-PairOutcome = PyTuple[bool, PyTuple[str, ...], Optional[DominanceWitness]]
-
-DecideFn = Callable[[Pair], DominanceWitness]
-
-
-def pair_outcome(witness: DominanceWitness) -> PairOutcome:
-    """The canonical outcome encoding of a witness-bearing decision."""
-
-    return (
-        witness.holds,
-        tuple(sorted(name.name for name in witness.missing)),
-        witness,
-    )
-
-
-def run_pairs_serial(pairs: Sequence[Pair], decide: DecideFn) -> Dict[Pair, PairOutcome]:
-    """Decide every pair in order on the calling thread."""
-
-    return {pair: pair_outcome(decide(pair)) for pair in pairs}
-
 
 # ----------------------------------------------------------- process backend
 #
 # Worker state is module-global: ProcessPoolExecutor's ``initializer`` runs
-# once per worker, parses the catalog text and keeps the views (and one
-# shared SearchLimits) for every subsequent task.
-_WORKER_VIEWS = None
-_WORKER_LIMITS = None
+# once per worker, parses the catalog text and keeps one analyzer over it
+# (with one shared SearchLimits) for every subsequent task.
+_WORKER_ANALYZER = None
 
 
 def _process_init(catalog_text: str, limits_fields: PyTuple) -> None:
-    global _WORKER_VIEWS, _WORKER_LIMITS
+    global _WORKER_ANALYZER
+    # Function-scope imports: repro.engine.catalog imports this module.
     from repro.catalog import parse_catalog
+    from repro.engine.catalog import CatalogAnalyzer
 
-    _WORKER_VIEWS = dict(parse_catalog(catalog_text).views)
-    _WORKER_LIMITS = SearchLimits(*limits_fields)
-
-
-def _process_decide(pair: Pair) -> PyTuple[Pair, bool, PyTuple[str, ...]]:
-    from repro.views.equivalence import dominates
-
-    first, second = pair
-    witness = dominates(_WORKER_VIEWS[first], _WORKER_VIEWS[second], _WORKER_LIMITS)
-    return pair, witness.holds, tuple(sorted(name.name for name in witness.missing))
+    _WORKER_ANALYZER = CatalogAnalyzer(
+        parse_catalog(catalog_text), limits=SearchLimits(*limits_fields)
+    )
 
 
-def _process_decide_chunk(
-    chunk: Sequence[Pair],
-) -> List[PyTuple[Pair, bool, PyTuple[str, ...]]]:
-    return [_process_decide(pair) for pair in chunk]
+def _process_decide_chunk(chunk: Sequence[Pair]) -> List[PyTuple[Pair, bool]]:
+    return [(pair, _WORKER_ANALYZER._decide(pair)) for pair in chunk]
 
 
 def process_chunksize(pair_count: int, jobs: int) -> int:
@@ -114,7 +81,7 @@ def run_pairs_process(
     catalog_text: str,
     limits: SearchLimits,
     jobs: int,
-) -> Dict[Pair, PairOutcome]:
+) -> Dict[Pair, bool]:
     """Decide the pairs on a process pool seeded with the serialised catalog."""
 
     # astuple tracks the dataclass's field list, so a future SearchLimits
@@ -122,13 +89,12 @@ def run_pairs_process(
     limits_fields = astuple(limits)
     chunk = process_chunksize(len(pairs), jobs)
     chunks = [tuple(pairs[i : i + chunk]) for i in range(0, len(pairs), chunk)]
-    results: Dict[Pair, PairOutcome] = {}
+    results: Dict[Pair, bool] = {}
     with ProcessPoolExecutor(
         max_workers=jobs,
         initializer=_process_init,
         initargs=(catalog_text, limits_fields),
     ) as pool:
-        for outcomes in pool.map(_process_decide_chunk, chunks):
-            for pair, holds, missing in outcomes:
-                results[pair] = (holds, missing, None)
+        for verdicts in pool.map(_process_decide_chunk, chunks):
+            results.update(verdicts)
     return results

@@ -6,7 +6,7 @@ default, so un-profiled runs pay nothing beyond that check.  When
 enabled it counts homomorphism search nodes (one per ``expand`` call in
 ``_iter_maps``), attributes memo hits/misses per tier (exact-template
 key vs canonical-signature key) and per signature class (bounded to
-``max_classes`` distinct classes plus an overflow bucket), and counts
+:data:`MAX_CLASSES` distinct classes plus an overflow bucket), and counts
 catalog representative-pair decisions.
 
 The counters feed the service metrics registry
@@ -21,12 +21,16 @@ from typing import Any, Dict, Hashable, Optional
 
 __all__ = ["EngineProfile", "ENGINE_PROFILE"]
 
+#: Distinct signature classes the per-class table labels before it folds
+#: further classes into its ``"overflow"`` bucket.
+MAX_CLASSES = 64
+
 
 class EngineProfile:
     """Shared engine counters behind an ``enabled`` flag.
 
     Thread-safe: the service's read workers decide pairs on threads.  The
-    per-signature-class table is bounded — once ``max_classes`` distinct
+    per-signature-class table is bounded — once :data:`MAX_CLASSES` distinct
     classes have been seen, further classes are folded into the
     ``"overflow"`` bucket so profiling long runs cannot grow without
     bound.  Class labels are assigned in first-seen order
@@ -34,9 +38,8 @@ class EngineProfile:
     ``c3:12r``.
     """
 
-    def __init__(self, max_classes: int = 64) -> None:
+    def __init__(self) -> None:
         self.enabled = False
-        self.max_classes = max_classes
         self._lock = threading.Lock()
         self._class_labels: Dict[Hashable, str] = {}
         self.reset()
@@ -80,7 +83,7 @@ class EngineProfile:
 
         label = self._class_labels.get(class_key)
         if label is None:
-            if len(self._class_labels) >= self.max_classes:
+            if len(self._class_labels) >= MAX_CLASSES:
                 return "overflow"
             label = f"c{len(self._class_labels)}:{rows}r"
             self._class_labels[class_key] = label

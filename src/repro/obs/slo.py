@@ -40,7 +40,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.obs.tracing import _percentile
+from repro.obs.tracing import percentile
 
 __all__ = [
     "SloSpec",
@@ -286,8 +286,8 @@ class _Tracker:
                 "calibration_samples": len(self.calibration),
                 "budget": spec.latency_budget,
                 "violations": self.violations,
-                "p50_s": _percentile(latencies, 0.5) if latencies else None,
-                "p95_s": _percentile(latencies, 0.95) if latencies else None,
+                "p50_s": percentile(latencies, 0.5) if latencies else None,
+                "p95_s": percentile(latencies, 0.95) if latencies else None,
                 "fast": self._window_report(self.fast, "latency", spec.latency_budget),
                 "slow": self._window_report(self.slow, "latency", spec.latency_budget),
                 "alarming": self.alarming["latency"],

@@ -38,6 +38,7 @@ __all__ = [
     "NULL_TRACER",
     "dump_spans",
     "load_spans",
+    "percentile",
     "trace_breakdown",
     "verify_trace",
 ]
@@ -248,14 +249,27 @@ def load_spans(path: str) -> List[Span]:
     return spans
 
 
-def _percentile(values: Sequence[float], fraction: float) -> float:
-    """Nearest-rank percentile (mirrors ``repro.service.metrics.percentile``)."""
+def percentile(values: Sequence[float], fraction: float) -> float:
+    """The ``fraction``-quantile of ``values`` with linear interpolation.
+
+    ``fraction`` is in ``[0, 1]`` (0.5 is the median).  An empty sequence
+    yields ``0.0``.  The one percentile of the package: the trace
+    breakdown, the SLO summary and :meth:`repro.service.CatalogService.metrics`
+    all compute theirs here.
+    """
 
     if not values:
         return 0.0
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
     ordered = sorted(values)
-    rank = max(0, min(len(ordered) - 1, int(round(fraction * (len(ordered) - 1)))))
-    return ordered[rank]
+    if len(ordered) == 1:
+        return float(ordered[0])
+    rank = fraction * (len(ordered) - 1)
+    low = int(rank)
+    high = min(low + 1, len(ordered) - 1)
+    weight = rank - low
+    return float(ordered[low] * (1.0 - weight) + ordered[high] * weight)
 
 
 def trace_breakdown(
@@ -288,8 +302,8 @@ def trace_breakdown(
     return {
         stage: {
             "count": len(durations),
-            "p50_s": _percentile(durations, 0.50),
-            "p95_s": _percentile(durations, 0.95),
+            "p50_s": percentile(durations, 0.50),
+            "p95_s": percentile(durations, 0.95),
             "total_s": sum(durations),
         }
         for stage, durations in sorted(by_stage.items())
@@ -339,8 +353,6 @@ def verify_trace(
     responses: Sequence[Any],
     spans: Iterable[Span],
     journal: bool = False,
-    rel_tol: float = 0.05,
-    abs_tol: float = 0.002,
     sampled: bool = False,
 ) -> Dict[str, Any]:
     """Replay-level trace check: full stage chains that tile the latency.
@@ -350,7 +362,7 @@ def verify_trace(
     (reads: admission → queue → dispatch → compute; edits: admission →
     queue → compute [→ journal] → publish) and that per-stage durations
     sum to the recorded end-to-end ``latency_s`` within
-    ``max(abs_tol, rel_tol * latency)``.  Spans are stamped by the same
+    ``max(2 ms, 5% of latency)``.  Spans are stamped by the same
     monotonic clock that measures the latency, so the sum is exact by
     construction — the tolerance only absorbs float accumulation.
 
@@ -414,7 +426,7 @@ def verify_trace(
             continue
         total = sum(s.duration_s for s in group)
         latency = float(response.latency_s)
-        tolerance = max(abs_tol, rel_tol * latency)
+        tolerance = max(0.002, 0.05 * latency)
         if abs(total - latency) > tolerance:
             mismatches.append(
                 {

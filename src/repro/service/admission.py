@@ -98,12 +98,7 @@ import threading
 from collections import deque
 from typing import Deque, Dict, Optional, Sequence, Tuple as PyTuple
 
-from repro.obs.drift import (
-    DEFAULT_DRIFT_MIN_SAMPLES,
-    DEFAULT_DRIFT_SLACK,
-    DEFAULT_DRIFT_WINDOW,
-    CoverageMonitor,
-)
+from repro.obs.drift import CoverageMonitor
 from repro.service.deadline import DeadlinePolicy, TIER_BASE
 from repro.service.requests import ServiceRequest
 
@@ -268,11 +263,11 @@ class AdmissionController:
     window / min_samples:
         Per-class calibration-window bound and the calibration threshold
         below which the learned gate passes through.
-    drift_slack / drift_window / drift_min_samples:
-        Knobs of the live coverage-drift monitor (see
-        :class:`repro.obs.drift.CoverageMonitor`): the alarm fires when
-        the rolling-window two-sided empirical coverage of stamped
-        intervals falls below ``coverage - drift_slack``.
+
+    The live coverage-drift monitor (:attr:`drift`, a
+    :class:`repro.obs.drift.CoverageMonitor` with the ``DEFAULT_DRIFT_*``
+    settings) alarms when the rolling-window two-sided empirical coverage
+    of stamped intervals falls below ``coverage - DEFAULT_DRIFT_SLACK``.
     """
 
     def __init__(
@@ -281,9 +276,6 @@ class AdmissionController:
         coverage: float = 0.9,
         window: int = DEFAULT_WINDOW,
         min_samples: int = DEFAULT_MIN_SAMPLES,
-        drift_slack: float = DEFAULT_DRIFT_SLACK,
-        drift_window: int = DEFAULT_DRIFT_WINDOW,
-        drift_min_samples: int = DEFAULT_DRIFT_MIN_SAMPLES,
     ) -> None:
         if not 0.0 < coverage < 1.0:
             raise ValueError(f"coverage must be in (0, 1), got {coverage}")
@@ -297,12 +289,7 @@ class AdmissionController:
         self._min_samples = int(min_samples)
         self._classes: Dict[PyTuple, _ClassWindow] = {}
         self._lock = threading.Lock()
-        self.drift = CoverageMonitor(
-            self._coverage,
-            slack=drift_slack,
-            window=drift_window,
-            min_samples=drift_min_samples,
-        )
+        self.drift = CoverageMonitor(self._coverage)
 
     # -------------------------------------------------------------- classing
     @property

@@ -966,7 +966,6 @@ def _apply_edit_payload(
 def recover_service(
     path,
     limits: SearchLimits = SearchLimits(),
-    jobs: int = 1,
     repair: bool = False,
 ) -> RecoveryResult:
     """Rebuild the service state from its journal: snapshot + delta folds.
@@ -977,7 +976,9 @@ def recover_service(
     re-derivations from the folded matrix
     (:func:`~repro.engine.delta.core_from_matrix` /
     :func:`~repro.engine.delta.classes_from_matrix`), and adopts the matrix
-    into a ready analyzer — no homomorphism search runs.  A torn tail is
+    into a ready analyzer — no homomorphism search runs, so there is no
+    worker count to choose.  The adopted analyzer's own state must equal
+    the folded state, or recovery refuses.  A torn tail is
     truncated from the fold (and from the file too when ``repair=True``);
     interior corruption raises :class:`JournalCorruption`.  Recovery is
     read-only by default, so a crash *during* recovery changes nothing and a
@@ -1044,9 +1045,7 @@ def recover_service(
             f"version {version}: the folded core/classes disagree with the "
             "folded matrix (a delta record lies about its changed set)"
         )
-    analyzer = CatalogAnalyzer.from_decided_matrix(
-        views, matrix, limits=limits, jobs=jobs
-    )
+    analyzer = CatalogAnalyzer.from_decided_matrix(views, matrix, limits=limits)
     adopted = analyzer.snapshot(version)
     final_state = CatalogSnapshot(
         version=version,

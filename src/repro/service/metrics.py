@@ -16,32 +16,12 @@ no edits, empty tables) must snapshot cleanly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
+from repro.obs.tracing import percentile
 from repro.perf.cache import CacheStats
 
 __all__ = ["ServiceMetrics", "percentile"]
-
-
-def percentile(values: Sequence[float], fraction: float) -> float:
-    """The ``fraction``-quantile of ``values`` with linear interpolation.
-
-    ``fraction`` is in ``[0, 1]`` (0.5 is the median).  An empty sequence
-    yields ``0.0`` — the guarded empty-table convention of this module.
-    """
-
-    if not values:
-        return 0.0
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return float(ordered[0])
-    rank = fraction * (len(ordered) - 1)
-    low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
-    weight = rank - low
-    return float(ordered[low] * (1.0 - weight) + ordered[high] * weight)
 
 
 @dataclass(frozen=True)

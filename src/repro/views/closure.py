@@ -27,9 +27,18 @@ that
   realise a project-join expression).
 
 The candidate restriction mirrors the classical "canonical database" argument
-for rewriting conjunctive queries with views; DESIGN.md discusses the one
-corner where it is potentially incomplete, and the test-suite cross-checks
-against the paper-faithful baseline on small instances.
+for rewriting conjunctive queries with views, and the test-suite cross-checks
+it against the paper-faithful baseline on small instances.  It has one known
+incomplete corner.  The search takes one candidate row per folding, so it can
+collapse a construction that needs a generator twice, and then no candidate
+subset is an expression template.  Over ``R(AB), S(BC)``, take the goal
+``pi_B(pi_A(R) |x| S)`` and the generators ``V0(BC) := pi_C(S) |x| pi_B(S)``
+and ``V1(B) := pi_B(R) |x| pi_B(R)``.  With ``require_expression=False``,
+:func:`find_construction` finds the outer template ``{V0(0_B, v), V1(w)}``,
+which is not an expression template; with the default ``True`` it finds
+nothing, also at 10,000 candidates and subsets.  Yet
+``pi_B(pi_C(pi_C(V0) |x| V1) |x| pi_B(V0))``, which uses ``V0`` twice, is a
+construction.
 """
 
 from __future__ import annotations

@@ -10,10 +10,9 @@ decidability of view equivalence (Theorem 2.4.12).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple as PyTuple
+from typing import Dict, List, Tuple as PyTuple
 
 from repro.exceptions import CapacityError
-from repro.relalg.ast import Expression
 from repro.relational.schema import RelationName
 from repro.views.capacity import QueryCapacity
 from repro.views.closure import Construction, SearchLimits
@@ -23,7 +22,6 @@ __all__ = [
     "DominanceWitness",
     "capacity_dominance",
     "dominates",
-    "update_dominance",
     "views_equivalent",
     "equivalence_report",
 ]
@@ -84,53 +82,6 @@ def dominates(
 
     _check_same_underlying(dominating, dominated)
     return capacity_dominance(QueryCapacity(dominating, limits), dominated)
-
-
-def update_dominance(
-    dominating: View,
-    dominated: View,
-    previous: DominanceWitness,
-    previously_dominated: View,
-    limits: SearchLimits = SearchLimits(),
-) -> DominanceWitness:
-    """Incrementally refresh a dominance witness after the dominated view changed.
-
-    Lemma 1.5.4 factors dominance into one capacity-membership question per
-    defining query of the dominated view, so when that view gains, loses or
-    renames members the per-query outcomes of an earlier check remain valid
-    for every defining query it kept — only the *new* queries need deciding.
-    ``previous`` must be the witness of
-    ``dominates(dominating, previously_dominated, limits)`` with the *same*
-    ``dominating`` view and the same limits; outcomes are reused by query
-    (not by member name), so renamed members cost nothing.
-
-    The construction memo of :func:`repro.views.closure.find_construction`
-    already factors per goal, so the savings here are the per-question
-    bookkeeping (generator assembly, precheck, memo probes), which is what a
-    batched catalog run pays N times over.
-    """
-
-    _check_same_underlying(dominating, dominated)
-    outcomes: Dict[Expression, Optional[Construction]] = {}
-    for definition in previously_dominated.definitions:
-        if definition.name in previous.constructions:
-            outcomes[definition.query] = previous.constructions[definition.name]
-        elif definition.name in previous.missing:
-            outcomes[definition.query] = None
-
-    capacity = QueryCapacity(dominating, limits)
-    constructions: Dict[RelationName, Construction] = {}
-    missing: List[RelationName] = []
-    for definition in dominated.definitions:
-        if definition.query in outcomes:
-            construction = outcomes[definition.query]
-        else:
-            construction = capacity.explain(definition.query)
-        if construction is None:
-            missing.append(definition.name)
-        else:
-            constructions[definition.name] = construction
-    return DominanceWitness(constructions=constructions, missing=tuple(missing))
 
 
 def views_equivalent(

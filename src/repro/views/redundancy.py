@@ -70,24 +70,13 @@ def is_redundant_member(
 
 
 def redundant_members(
-    queries: Sequence[Query],
-    limits: SearchLimits = SearchLimits(),
-    known_redundant: Sequence[int] = (),
+    queries: Sequence[Query], limits: SearchLimits = SearchLimits()
 ) -> PyTuple[int, ...]:
-    """Indices of the redundant members of ``queries``.
+    """Indices of the redundant members of ``queries``."""
 
-    ``known_redundant`` is the incremental hook for catalog traffic: closures
-    grow monotonically with their generator set, so when a query set only
-    *gained* members since an earlier sweep, every member found redundant
-    then is still redundant now and is reported without re-deciding.  Only
-    the remaining members (including the newly gained ones) are submitted to
-    the closure-membership search.
-    """
-
-    known = {index for index in known_redundant if 0 <= index < len(queries)}
     redundant: List[int] = []
     for index, member in enumerate(queries):
-        if index in known or is_redundant_member(queries, member, limits):
+        if is_redundant_member(queries, member, limits):
             redundant.append(index)
     return tuple(redundant)
 

@@ -22,15 +22,23 @@ The contract under test, mirroring :mod:`repro.service.journal`:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import zlib
 
 import pytest
 
+import repro.engine.catalog as catalog_module
 from repro.cli import main
-from repro.engine import CatalogAnalyzer, CatalogDelta
+from repro.engine import (
+    CatalogAnalyzer,
+    CatalogDelta,
+    classes_from_matrix,
+    core_from_matrix,
+)
 from repro.exceptions import ReproError
+from repro.perf import caches_enabled, clear_caches, configure
 from repro.relalg import parse_expression
 from repro.relational import RelationName
 from repro.service import (
@@ -46,11 +54,13 @@ from repro.service import (
     scan_journal,
     verify_recovery,
 )
-from repro.service.journal import catalog_text, view_text
+from repro.service.journal import _encode_record, catalog_text, view_text
 from repro.views import View
 from repro.workloads import (
     IoFault,
     SchemaSpec,
+    SubscriberSpec,
+    TrafficEvent,
     crash_schedule,
     fault_schedule,
     random_schema,
@@ -437,6 +447,107 @@ class TestRecovery:
         assert clean.tail_bytes == 0
 
 
+class TestRecoveryCrossChecks:
+    """Well-framed journals whose last delta lies about its changed set.
+
+    Each record is written with the journal's own framing, so only the
+    payload lies.  Recovery must refuse every one, and it refuses from the
+    folded state alone: no dominance pair is decided.
+    """
+
+    def recover_lying(
+        self, tmp_path, base_catalog, extra_views, split_view, lie, monkeypatch
+    ):
+        path = str(tmp_path / "j.jsonl")
+        twin = split_view.renamed({"W1": "T1", "W2": "T2"})
+        _, states = journal_chain(
+            path,
+            base_catalog,
+            [("add", "Y", extra_views[0]), ("add", "Twin", twin)],
+            fsync="off",
+            snapshot_every=0,
+        )
+        records = scan_journal(path).records
+        previous, current = states[-2].snapshot(1), states[-1].snapshot(2)
+        lying = str(tmp_path / "lying.jsonl")
+        with open(lying, "wb") as handle:
+            for record in records:
+                payload = record.payload
+                if record is records[-1]:
+                    delta = CatalogDelta.from_dict(payload["delta"])
+                    payload = {**payload, "delta": lie(delta, previous, current).to_dict()}
+                handle.write(_encode_record(payload))
+        decided = []
+        decide = catalog_module.capacity_dominance
+
+        def counted(capacity, dominated):
+            decided.append(dominated)
+            return decide(capacity, dominated)
+
+        monkeypatch.setattr(catalog_module, "capacity_dominance", counted)
+        try:
+            with pytest.raises(JournalError) as refused:
+                recover_service(lying)
+        finally:
+            monkeypatch.undo()
+        assert decided == []
+        return str(refused.value)
+
+    def test_core_entered_contradicting_the_matrix(
+        self, tmp_path, base_catalog, extra_views, split_view, monkeypatch
+    ):
+        # Y, the one-column projection, is strictly dominated: never core.
+        def lie(delta, previous, current):
+            assert "Y" not in current.nonredundant_core
+            return dataclasses.replace(delta, core_entered=delta.core_entered + ("Y",))
+
+        message = self.recover_lying(
+            tmp_path, base_catalog, extra_views, split_view, lie, monkeypatch
+        )
+        assert "internally inconsistent" in message
+
+    def test_flipped_cell_inside_a_signature_class(
+        self, tmp_path, base_catalog, extra_views, split_view, monkeypatch
+    ):
+        # Split and Twin share a signature class, so each dominates the
+        # other.  The lie flips one of the two cells and moves the core and
+        # the classes along with it, so the folded state agrees with
+        # itself; the adopted analyzer, which reads the cell off the
+        # signature classes, does not.
+        def lie(delta, previous, current):
+            matrix = {**current.dominance, ("Split", "Twin"): False}
+            core = set(core_from_matrix(current.names, matrix))
+            classes = set(classes_from_matrix(current.names, matrix))
+            before_core = set(previous.nonredundant_core)
+            before_classes = set(previous.equivalence_classes)
+            return dataclasses.replace(
+                delta,
+                edges_set={**delta.edges_set, ("Split", "Twin"): False},
+                core_entered=tuple(sorted(core - before_core)),
+                core_left=tuple(sorted(before_core - core)),
+                classes_formed=tuple(sorted(classes - before_classes)),
+                classes_dissolved=tuple(sorted(before_classes - classes)),
+            )
+
+        message = self.recover_lying(
+            tmp_path, base_catalog, extra_views, split_view, lie, monkeypatch
+        )
+        assert "adopted analyzer disagrees" in message
+
+    def test_folded_matrix_lacking_a_pair(
+        self, tmp_path, base_catalog, extra_views, split_view, monkeypatch
+    ):
+        def lie(delta, previous, current):
+            edges = dict(delta.edges_set)
+            del edges[("Split", "Twin")]
+            return dataclasses.replace(delta, edges_set=edges)
+
+        message = self.recover_lying(
+            tmp_path, base_catalog, extra_views, split_view, lie, monkeypatch
+        )
+        assert "does not cover" in message and "('Split', 'Twin')" in message
+
+
 class TestFaultInjection:
     def test_torn_write_raises_simulated_crash_and_freezes_file(
         self, tmp_path, base_catalog, extra_views
@@ -600,6 +711,77 @@ class TestServiceIntegration:
         history = lane["history"]
         assert dict(result.views) == dict(history[result.version])
         assert result.verify() == []
+
+    @pytest.mark.parametrize("memo", [True, False], ids=["memo-on", "memo-off"])
+    def test_replacement_edits_replay_fold_and_recover(self, tmp_path, memo):
+        # add_view on an existing name replaces the view: here one view
+        # gains a member, one loses a member, one renames its members and
+        # one moves to another signature class, each followed by reads of
+        # it.  Every answer, every pushed delta and the recovered journal
+        # must equal fresh serial analyzers'.
+        schema = random_schema(SchemaSpec(relations=4, arity=2, universe_size=5), seed=5)
+        catalog = view_catalog(
+            schema, classes=3, copies_per_class=2, members=2, atoms_per_query=2, seed=5
+        )
+        donor = catalog["C1x0"].definitions[0]
+        replacements = {
+            "C0x0": View(
+                list(catalog["C0x0"].definitions)
+                + [(donor.query, donor.name.renamed("G1"))],
+                schema,
+            ),
+            "C1x1": View(list(catalog["C1x1"].definitions)[:1], schema),
+            "C2x0": catalog["C2x0"].renamed(
+                {n.name: f"{n.name}r" for n in catalog["C2x0"].view_names}
+            ),
+            "C0x1": catalog["C2x1"].renamed(
+                {n.name: f"{n.name}m" for n in catalog["C2x1"].view_names}
+            ),
+        }
+        events = []
+        for name, view in replacements.items():
+            other = "C1x0" if name != "C1x0" else "C2x1"
+            events += [
+                TrafficEvent(kind="add_view", subject=name, view=view),
+                TrafficEvent(kind="dominance", subject=name, other=other),
+                TrafficEvent(kind="dominance", subject=other, other=name),
+                TrafficEvent(kind="equivalence", subject=name, other="C0x1"),
+                TrafficEvent(
+                    kind="membership", subject=other, query=view.defining_queries[-1]
+                ),
+                TrafficEvent(kind="view_report", subject=name),
+                TrafficEvent(kind="nonredundant_core"),
+            ]
+        topics = ("core", "dominance", "equivalence_classes", "views") + tuple(
+            f"view_report:{name}" for name in replacements
+        )
+        path = str(tmp_path / "replaced.jsonl")
+        previous = caches_enabled()
+        configure(enabled=memo)
+        clear_caches()
+        try:
+            lane = run_traffic(
+                catalog,
+                events,
+                journal=DeltaJournal(path, fsync="off", snapshot_every=3),
+                subscriber_specs=[SubscriberSpec(topics=topics, buffer=64)],
+            )
+            result = recover_service(path)
+            mismatches = result.verify()
+        finally:
+            configure(enabled=previous)
+            clear_caches()
+        edits = [r for r in lane["responses"] if r.kind == "add_view"]
+        assert [r.status for r in edits] == ["ok"] * len(replacements)
+        assert lane["verdict"]["mismatches"] == []
+        assert lane["verdict"]["checked"] == len(events) - len(edits)
+        subscriptions = lane["subscriptions"]["verdict"]
+        assert subscriptions["mismatches"] == []
+        assert subscriptions["silent_drops"] == 0
+        assert subscriptions["versions_checked"] == len(replacements)
+        assert result.version == len(replacements)
+        assert dict(result.views) == {**catalog, **replacements}
+        assert mismatches == []
 
     def test_verify_recovery_harness(self, tmp_path):
         catalog, events = self.make_traffic(requests=30)
