@@ -1,4 +1,4 @@
-"""Lightweight timing harness: the machine-readable perf trajectory.
+"""Smoke timing harness: the engine against the seed engine, plus service lanes.
 
 Runs the ``membership``, ``equivalence`` and ``redundancy`` suites — plus
 the PR-2 ``large_membership`` (cold-path scale-up: deep joins, scheme
@@ -32,22 +32,20 @@ both engines:
   steady state of multi-scenario traffic) —
 
 cross-checks that both engines agree on every answer (for the catalog
-suite: that parallel matrices are bit-identical to serial), and writes
-``BENCH_perf.json`` at the repository root: median wall-times, speedups
-over the seed, parallel-vs-serial speedups with the machine's CPU count,
-and memo-table hit rates.  Every PR from this one onward appends to that
-trajectory; CI runs ``--smoke`` to keep the file fresh (the smoke set
-includes one large-instance cold scenario and one parallel lane).
-
-Each run also appends one direction-tagged line of tracked metrics to
-``BENCH_history.jsonl`` (see :mod:`repro.perf.history`; disable with
-``--history ''``) so ``repro bench-history`` can flag regressions against
-the previous comparable run.
+suite: that parallel matrices are bit-identical to serial), and writes a
+JSON report to ``--output`` (default ``.benchmarks/BENCH_perf.json``,
+which git ignores, so a run changes no tracked file): median wall-times,
+speedups over the seed, parallel-vs-serial speedups with the machine's
+CPU count, and memo-table hit rates.  CI runs ``--smoke`` (one
+large-instance cold scenario and one parallel lane among them) and keeps
+the report as an artifact.  The exit status is 1 when any of the checks
+in :func:`main` fails; regressions in speed are judged by perfbench
+against ``BENCHMARK.json``, not here.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/run_benchmarks.py [--smoke]
-        [--repeats N] [--output PATH] [--history PATH]
+        [--repeats N] [--output PATH]
 """
 
 from __future__ import annotations
@@ -76,7 +74,6 @@ from repro.engine import CatalogAnalyzer, process_chunksize  # noqa: E402
 from repro.obs.sampling import TailSampler  # noqa: E402
 from repro.obs.tracing import Tracer, trace_breakdown  # noqa: E402
 from repro.perf import cache_stats, clear_caches  # noqa: E402
-from repro.perf.history import append_history, git_revision  # noqa: E402
 from repro.service import (  # noqa: E402
     OVERLOAD_POLICY,
     DeltaJournal,
@@ -111,7 +108,7 @@ from repro.workloads import (  # noqa: E402
 DEFAULT_REPEATS = 7
 SMOKE_REPEATS = 3
 
-#: Memo tables whose hit rates the trajectory records.
+#: Memo tables whose hit rates the report records.
 TRACKED_TABLES = (
     "hom.has_homomorphism",
     "reduction.reduce_template",
@@ -351,7 +348,7 @@ def bench_catalog(repeats: int, smoke: bool = False) -> Dict[str, object]:
     pool and records the honest wall-clock ratio next to the machine's CPU
     count — on a single CPU, pool startup makes it <1x; the lane exists to
     verify bit-identical results and to let multi-core machines record
-    real scaling in the same trajectory.
+    real scaling in the same report.
     """
 
     schema = random_schema(SchemaSpec(relations=4, arity=2, universe_size=5), seed=11)
@@ -415,7 +412,7 @@ def bench_catalog(repeats: int, smoke: bool = False) -> Dict[str, object]:
             "speedup_parallel": serial_s / max(parallel_s, 1e-9),
             "identical_to_serial": identical,
             # The chunked submission amortises per-task pickling/dispatch;
-            # the trajectory records the chunk process_chunksize picked.
+            # the report records the chunk process_chunksize picked.
             "chunksize": process_chunksize(n_views * (n_views - 1), jobs),
         }
     ]
@@ -1165,82 +1162,60 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=None)
     parser.add_argument(
         "--output",
-        default=os.path.join(_ROOT, "BENCH_perf.json"),
+        default=os.path.join(_ROOT, ".benchmarks", "BENCH_perf.json"),
         help="where to write the JSON report",
-    )
-    parser.add_argument(
-        "--history",
-        default=os.path.join(_ROOT, "BENCH_history.jsonl"),
-        help="append this run's tracked metrics here (empty string to skip)",
     )
     args = parser.parse_args(argv)
     repeats = args.repeats or (SMOKE_REPEATS if args.smoke else DEFAULT_REPEATS)
 
     report = run(repeats, args.smoke)
+    os.makedirs(os.path.dirname(os.path.abspath(args.output)), exist_ok=True)
     with open(args.output, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"[bench] wrote {args.output}")
-    if args.history:
-        entry = append_history(report, args.history, git_rev=git_revision(_ROOT))
-        print(
-            f"[bench] appended {len(entry['metrics'])} tracked metric(s) to "
-            f"{args.history} (rev {entry['git_rev'] or '?'}); compare with "
-            "`repro bench-history`"
-        )
 
-    if not all(entry.get("all_agree", True) for entry in report["summary"].values()):
-        print("[bench] ERROR: seed and optimised engines disagreed", file=sys.stderr)
-        return 1
-    if not all(
-        entry.get("all_parallel_identical", True)
-        for entry in report["summary"].values()
-    ):
-        print(
-            "[bench] ERROR: parallel catalog results were not bit-identical to serial",
-            file=sys.stderr,
-        )
-        return 1
-    if not all(
-        entry.get("all_identical", True) for entry in report["summary"].values()
-    ):
-        print(
-            "[bench] ERROR: service answers were not bit-identical to a fresh "
-            "serial CatalogAnalyzer on the same catalog state",
-            file=sys.stderr,
-        )
-        return 1
-    if not all(
-        entry.get("tracing", {}).get("trace_overhead_ok", True)
-        for entry in report["summary"].values()
-    ):
-        print(
-            "[bench] ERROR: tracing overhead exceeded the 1.05x budget "
-            "(trace_overhead_ratio gate)",
-            file=sys.stderr,
-        )
-        return 1
-    if not all(
-        entry.get("sampling", {}).get("sampler_overhead_ok", True)
-        for entry in report["summary"].values()
-    ):
-        print(
-            "[bench] ERROR: tail sampling overhead exceeded the 1.05x budget "
-            "(sampler_overhead_ratio gate)",
-            file=sys.stderr,
-        )
-        return 1
-    if not all(
-        entry.get("sampling", {}).get("retention_ok", True)
-        and entry.get("sampling", {}).get("ledger_exact", True)
-        for entry in report["summary"].values()
-    ):
-        print(
-            "[bench] ERROR: tail sampler dropped an interesting trace or "
-            "its ledger does not balance (retention gate)",
-            file=sys.stderr,
-        )
-        return 1
+    # Each check names the (section, flag) pairs of a suite summary that
+    # must all hold; a flag a suite does not record holds.  The first
+    # failing check, in this order, decides the exit status.
+    checks = (
+        ("all_agree", [(None, "all_agree")], "seed and optimised engines disagreed"),
+        (
+            "all_parallel_identical",
+            [(None, "all_parallel_identical")],
+            "parallel catalog results were not bit-identical to serial",
+        ),
+        (
+            "all_identical",
+            [(None, "all_identical")],
+            "service answers were not bit-identical to a fresh serial "
+            "CatalogAnalyzer on the same catalog state",
+        ),
+        (
+            "trace_overhead_ok",
+            [("tracing", "trace_overhead_ok")],
+            "tracing overhead exceeded the 1.05x budget",
+        ),
+        (
+            "sampler_overhead_ok",
+            [("sampling", "sampler_overhead_ok")],
+            "tail sampling overhead exceeded the 1.05x budget",
+        ),
+        (
+            "retention_ok/ledger_exact",
+            [("sampling", "retention_ok"), ("sampling", "ledger_exact")],
+            "tail sampler dropped an interesting trace or its ledger does "
+            "not balance",
+        ),
+    )
+    for name, flags, message in checks:
+        if not all(
+            (entry if section is None else entry.get(section, {})).get(flag, True)
+            for entry in report["summary"].values()
+            for section, flag in flags
+        ):
+            print(f"[bench] ERROR ({name}): {message}", file=sys.stderr)
+            return 1
     return 0
 
 

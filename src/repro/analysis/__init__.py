@@ -5,10 +5,10 @@ stack's correctness rests on: one monotonic clock for every stamp
 (REPRO-CLOCK), lock discipline on shared memo state (REPRO-LOCK), no
 blocking calls on the event loop (REPRO-ASYNC-BLOCK), tracer hooks behind
 enabled guards (REPRO-HOT-GUARD), bounded caches only
-(REPRO-UNBOUNDED-CACHE) and no swallowed broad exceptions
-(REPRO-SWALLOW).  Findings can be silenced inline
-(``# repro: allow[RULE-ID] reason``) or grandfathered in a committed
-baseline file; both forms require a written reason.
+(REPRO-UNBOUNDED-CACHE), no swallowed broad exceptions (REPRO-SWALLOW)
+and no unused imports (REPRO-UNUSED-IMPORT).  Findings can be silenced
+inline (``# repro: allow[RULE-ID] reason``) or grandfathered in a
+committed baseline file; both forms require a written reason.
 
 See the README's "Static analysis" section for the rule table and the
 suppression/baseline workflow.

@@ -139,6 +139,7 @@ def _load_rule_modules() -> None:
         caches,
         clock,
         hotguard,
+        imports,
         locks,
         swallow,
     )

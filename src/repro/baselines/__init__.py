@@ -6,7 +6,7 @@ Two independent baselines are preserved:
   2.4.9/2.4.10 bounded enumeration (exponential, exact);
 * :mod:`repro.baselines.seed_engine` — the library's own pre-optimisation
   implementations of the homomorphism, reduction and construction hot
-  paths, against which ``BENCH_perf.json`` speedups are measured.
+  paths, against which ``benchmarks/run_benchmarks.py`` measures speedups.
 """
 
 from repro.baselines.naive_capacity import (

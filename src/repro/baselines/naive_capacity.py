@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple as PyTuple, Union
+from typing import Iterator, List, Mapping, Optional, Sequence, Union
 
 from repro.exceptions import CapacityError
 from repro.relalg.ast import Expression
 from repro.relational.attributes import Attribute, Constant, DistinguishedSymbol, Symbol
 from repro.relational.schema import RelationName
-from repro.templates.homomorphism import has_homomorphism, templates_equivalent
+from repro.templates.homomorphism import has_homomorphism
 from repro.templates.reduction import reduce_template
 from repro.templates.substitution import TemplateAssignment, substitute
 from repro.templates.tagged_tuple import TaggedTuple

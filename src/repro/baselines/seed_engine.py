@@ -7,8 +7,8 @@ keeps those originals byte-for-byte in behaviour so that
 * the property-based test-suite can cross-check the optimised engine against
   an independent implementation on randomly generated inputs, and
 * ``benchmarks/run_benchmarks.py`` can measure the optimised engine's
-  speedup over the seed on identical scenarios and record it in
-  ``BENCH_perf.json``.
+  speedup over the seed on identical scenarios and record it in its
+  report.
 
 Nothing here consults the memo tables: every function recomputes from
 scratch exactly as the seed did — per-call candidate rescans in the

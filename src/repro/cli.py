@@ -344,33 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
         "as JSON instead of the text frame",
     )
 
-    bench_history = subparsers.add_parser(
-        "bench-history",
-        help="show the benchmark trajectory in BENCH_history.jsonl and flag "
-        "regressions beyond the noise band against the previous comparable "
-        "run (same schema_version/cpus/smoke); exits 1 on a regression",
-    )
-    bench_history.add_argument(
-        "--path",
-        default="BENCH_history.jsonl",
-        metavar="FILE",
-        help="history file (default: BENCH_history.jsonl)",
-    )
-    bench_history.add_argument(
-        "--band",
-        type=float,
-        default=0.2,
-        help="relative noise band (default 0.2: flag >20%% moves the wrong way)",
-    )
-    bench_history.add_argument(
-        "--json", action="store_true", help="emit the comparison as JSON"
-    )
-
     lint = subparsers.add_parser(
         "lint",
         help="AST-based concurrency-invariant linter: clock discipline, "
         "lock discipline, event-loop blocking, hot-path guards, cache "
-        "bounds, exception accounting",
+        "bounds, exception accounting, unused imports",
     )
     lint.add_argument(
         "paths",
@@ -1071,88 +1049,6 @@ def _cmd_top(args, out) -> int:
     return 0
 
 
-def _cmd_bench_history(args, out) -> int:
-    from repro.perf.history import flag_regressions, load_history
-
-    if not 0.0 <= args.band < 1.0:
-        print(f"error: --band must lie in [0, 1), got {args.band}", file=out)
-        return 2
-    try:
-        entries = load_history(args.path)
-    except ValueError as error:
-        print(f"error: {error}", file=out)
-        return 2
-    verdict = flag_regressions(entries, band=args.band)
-    if args.json:
-        print(json.dumps(verdict, indent=2, sort_keys=True), file=out)
-        return 1 if verdict["regressions"] else 0
-    if not entries:
-        print(f"bench history {args.path}: no entries", file=out)
-        return 0
-    plural = "y" if len(entries) == 1 else "ies"
-    print(f"bench history {args.path}: {len(entries)} entr{plural}", file=out)
-    for entry in entries[-5:]:
-        metrics = entry.get("metrics") or {}
-        print(
-            "  rev {rev}  schema v{schema}  cpus {cpus}{smoke}  "
-            "{count} metric(s)".format(
-                rev=entry.get("git_rev") or "?",
-                schema=entry.get("schema_version"),
-                cpus=entry.get("cpus"),
-                smoke=" smoke" if entry.get("smoke") else "",
-                count=len(metrics),
-            ),
-            file=out,
-        )
-    if not verdict["comparable"]:
-        print(
-            "  no prior comparable run (same schema_version/cpus/smoke) — "
-            "nothing to flag",
-            file=out,
-        )
-        return 0
-    base = verdict["baseline"]
-    print(
-        f"  vs baseline rev {base.get('git_rev') or '?'} "
-        f"(band {args.band:.0%}):",
-        file=out,
-    )
-    for change in verdict["improvements"]:
-        print(
-            "    improved  {metric}: {base:.4g} -> {latest:.4g} "
-            "({ratio}x)".format(
-                metric=change["metric"],
-                base=change["baseline"],
-                latest=change["latest"],
-                ratio=change["ratio"],
-            ),
-            file=out,
-        )
-    for change in verdict["regressions"]:
-        print(
-            "    REGRESSION {metric}: {base:.4g} -> {latest:.4g} "
-            "({ratio}x, {direction})".format(
-                metric=change["metric"],
-                base=change["baseline"],
-                latest=change["latest"],
-                ratio=change["ratio"],
-                direction="higher is better"
-                if change["higher_is_better"]
-                else "lower is better",
-            ),
-            file=out,
-        )
-    if verdict["regressions"]:
-        print(
-            f"  {len(verdict['regressions'])} regression(s) beyond the "
-            "noise band",
-            file=out,
-        )
-        return 1
-    print("  no regressions beyond the noise band", file=out)
-    return 0
-
-
 def _cmd_recover(args, out) -> int:
     from repro.service import recover_service
 
@@ -1281,8 +1177,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
             return _cmd_metrics(args, out)
         if args.command == "top":
             return _cmd_top(args, out)
-        if args.command == "bench-history":
-            return _cmd_bench_history(args, out)
         if args.command == "recover":
             return _cmd_recover(args, out)
         if args.command == "lint":

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple as PyTuple
-
-from repro.relational.schema import RelationName
+from dataclasses import dataclass
+from typing import Dict, List, Tuple as PyTuple
 
 __all__ = ["DefinitionSummary", "ViewAnalysisReport"]
 

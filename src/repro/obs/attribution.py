@@ -36,6 +36,9 @@ __all__ = ["attribute_trace", "attribution_report", "littles_law_check"]
 
 _EPS = 1e-12
 
+#: How many cells ``top_slowest`` and traces ``slowest_traces`` list.
+TOP_K = 5
+
 
 def attribute_trace(spans: Iterable[Span]) -> Dict[str, object]:
     """Per-stage attribution for one trace's spans.
@@ -94,19 +97,17 @@ def _mean_shares(traces: List[Dict[str, object]]) -> Dict[str, object]:
     }
 
 
-def attribution_report(spans: Iterable[Span], top_k: int = 5) -> Dict[str, object]:
+def attribution_report(spans: Iterable[Span]) -> Dict[str, object]:
     """Per-class latency attribution plus the top-K slowest stages.
 
     ``overall`` aggregates every trace; ``by_kind`` groups traces by the
     request kind stamped in their span attrs (``"unknown"`` when a trace
     carries none, e.g. dumps predating the kind attr).  ``top_slowest``
-    lists the K individual (trace, stage) cells with the most seconds —
-    the direct answer to "why was the slow tail slow" — and
-    ``slowest_traces`` the K largest traces end to end.
+    lists the :data:`TOP_K` individual (trace, stage) cells with the most
+    seconds — the direct answer to "why was the slow tail slow" — and
+    ``slowest_traces`` the :data:`TOP_K` largest traces end to end.
     """
 
-    if top_k < 1:
-        raise ValueError("top_k must be positive")
     traces = [
         attribute_trace(group)
         for group in group_spans(spans).values()
@@ -122,7 +123,7 @@ def attribution_report(spans: Iterable[Span], top_k: int = 5) -> Dict[str, objec
     cells.sort(key=lambda cell: (-cell[0], cell[1], cell[2]))
     slowest_traces = sorted(
         traces, key=lambda trace: (-trace["total_s"], trace["trace_id"])  # type: ignore[operator, arg-type]
-    )[:top_k]
+    )[:TOP_K]
     return {
         "overall": _mean_shares(traces),
         "by_kind": {
@@ -130,7 +131,7 @@ def attribution_report(spans: Iterable[Span], top_k: int = 5) -> Dict[str, objec
         },
         "top_slowest": [
             {"trace_id": tid, "stage": stage, "seconds": seconds}
-            for seconds, tid, stage in cells[:top_k]
+            for seconds, tid, stage in cells[:TOP_K]
         ],
         "slowest_traces": [
             {

@@ -25,7 +25,7 @@ import json
 import re
 import threading
 from bisect import bisect_left
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",

@@ -16,11 +16,7 @@ paths are built on:
 * :mod:`repro.perf.interning` — value interning so recurring keys compare
   by identity;
 * :mod:`repro.perf.index` — per-target row indexes keyed by
-  ``(tag, distinguished-column pattern)`` for the homomorphism search;
-* :mod:`repro.perf.history` — the append-only ``BENCH_history.jsonl``
-  benchmark trajectory and its noise-banded regression comparison
-  (consumed by ``benchmarks/run_benchmarks.py`` and
-  ``repro bench-history``).
+  ``(tag, distinguished-column pattern)`` for the homomorphism search.
 
 Everything here is semantics-free: with caching disabled
 (``repro.perf.configure(enabled=False)`` or ``REPRO_PERF_CACHE=0``) the
@@ -36,14 +32,6 @@ from repro.perf.cache import (
     clear_caches,
     configure,
 )
-from repro.perf.history import (
-    HISTORY_FILENAME,
-    append_history,
-    flag_regressions,
-    history_entry,
-    load_history,
-    tracked_metrics,
-)
 from repro.perf.interning import Interner, intern_value
 from repro.perf.signature import canonical_key, template_signature
 from repro.perf.index import TargetIndex, target_index
@@ -55,12 +43,6 @@ __all__ = [
     "caches_enabled",
     "clear_caches",
     "configure",
-    "HISTORY_FILENAME",
-    "append_history",
-    "flag_regressions",
-    "history_entry",
-    "load_history",
-    "tracked_metrics",
     "Interner",
     "intern_value",
     "canonical_key",

@@ -70,7 +70,7 @@ class CacheStats:
         ``evictions / misses`` measures how hard the working set presses
         against ``maxsize``: 0.0 means the table never filled, values near
         1.0 mean almost every new entry evicts — the signal to raise the
-        table's ``maxsize`` via :func:`configure`.
+        ``maxsize`` the table's module gives it.
         """
 
         return self.evictions / self.misses if self.misses else 0.0
@@ -170,22 +170,9 @@ class LRUCache:
         finally:
             self._lock.release()
 
-    def resize(self, maxsize: int) -> None:
-        """Change the table's capacity, dropping LRU entries on shrink.
-
-        Entries removed here are deliberate operator action, not working-set
-        pressure, so they do not count as evictions — ``eviction_pressure``
-        keeps its meaning as "insertions that displaced a resident entry".
-        """
-
-        with self._lock:
-            self._maxsize = max(1, int(maxsize))
-            while len(self._data) > self._maxsize:
-                self._data.popitem(last=False)
-
     @property
     def maxsize(self) -> int:
-        """The table's current capacity."""
+        """The table's capacity."""
 
         return self._maxsize
 
@@ -229,45 +216,19 @@ def caches_enabled() -> bool:
     return _ENABLED
 
 
-def configure(
-    enabled: Optional[bool] = None,
-    maxsize: Optional[int] = None,
-    table_sizes: Optional[Dict[str, int]] = None,
-) -> None:
-    """Configure the global memo tables.
+def configure(enabled: Optional[bool] = None) -> None:
+    """Switch memoisation on or off globally.
 
-    ``enabled``     — switch memoisation on or off globally.  Disabling also
-                      clears every table, so a subsequent re-enable starts
-                      cold — the semantics the cross-check tests rely on.
-    ``maxsize``     — resize *every* registered table to this capacity
-                      (shrinking evicts LRU entries immediately).
-    ``table_sizes`` — per-table capacity overrides keyed by registry name
-                      (see :func:`cache_stats` for the names); applied after
-                      ``maxsize`` so a global floor plus targeted raises
-                      compose.  Unknown names raise ``KeyError`` rather than
-                      silently configuring nothing.
+    Disabling also clears every table, so a subsequent re-enable starts
+    cold — the semantics the cross-check tests rely on.  Each table keeps
+    the capacity its module gave it.
     """
 
     global _ENABLED
-    # Validate before mutating anything so a bad call leaves every table
-    # (and the enablement switch) exactly as it found them.
-    if table_sizes:
-        unknown = sorted(set(table_sizes) - set(_REGISTRY))
-        if unknown:
-            raise KeyError(
-                f"no memo table named {unknown[0]!r}; known tables: "
-                f"{sorted(_REGISTRY)}"
-            )
     if enabled is not None:
         _ENABLED = bool(enabled)
         if not _ENABLED:
             clear_caches()
-    if maxsize is not None:
-        for cache in _REGISTRY.values():
-            cache.resize(maxsize)
-    if table_sizes:
-        for name, size in table_sizes.items():
-            _REGISTRY[name].resize(size)
 
 
 def clear_caches() -> None:

@@ -18,7 +18,7 @@ their trees coincide; equality of the *mappings* they realise is decided in
 
 from __future__ import annotations
 
-from typing import Counter as CounterType, Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import Counter as CounterType, FrozenSet, Iterable, Iterator, List, Sequence, Tuple, Union
 from collections import Counter
 
 from repro.exceptions import ExpressionError

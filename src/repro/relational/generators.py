@@ -8,7 +8,7 @@ that every benchmark series is reproducible.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Optional
 
 from repro.exceptions import WorkloadError
 from repro.relational.attributes import Attribute, Constant

@@ -12,7 +12,7 @@ from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Tuple as PyTupl
 
 from repro.exceptions import InstanceError
 from repro.relational.schema import DatabaseSchema, RelationName
-from repro.relational.tuples import Relation, Tuple
+from repro.relational.tuples import Relation
 
 __all__ = ["Instantiation"]
 

@@ -18,7 +18,8 @@ that the ROADMAP's "heavy traffic" north star calls for:
   deadline-miss rate, decision-reuse rate, memo-table stats).
 * :func:`replay` / :func:`verify_replay` — drive simulated traffic
   (:mod:`repro.workloads.traffic`) through a service and verify every exact
-  answer bit-identical against a fresh serial analyzer per catalog version.
+  answer bit-identical against a fresh serial analyzer per catalog version;
+  :func:`replay_history` rebuilds those versions from the replayed edits.
 * :class:`~repro.service.subscriptions.SubscriptionHub` /
   :class:`~repro.service.subscriptions.Subscription` — the streaming layer:
   per-edit :class:`~repro.engine.CatalogDelta` pushes to topic subscribers
@@ -69,6 +70,7 @@ from repro.service.journal import (
 from repro.service.metrics import ServiceMetrics, percentile
 from repro.service.replay import (
     replay,
+    replay_history,
     request_from_event,
     run_traffic,
     verify_recovery,
@@ -142,6 +144,7 @@ __all__ = [
     "percentile",
     "recover_service",
     "replay",
+    "replay_history",
     "request_from_event",
     "run_traffic",
     "scan_journal",

@@ -120,8 +120,8 @@ class DeadlinePolicy:
 
 
 #: The policy of the overload lanes (CLI ``traffic --overload`` and the
-#: benchmark's ``service_overload_*`` lanes — one definition, so the numbers
-#: users reproduce match ``BENCH_perf.json``): tight-but-meetable deadlines
+#: smoke harness's ``service_overload_*`` lanes — one definition, so the CLI
+#: reproduces the lanes' numbers): tight-but-meetable deadlines
 #: (>= 10 ms remaining) still get the base budgets, making the scheduler
 #: choice — not the budget tiering — the only variable between lanes, and
 #: every served answer exact and replay-verifiable; the 5 ms floor refuses

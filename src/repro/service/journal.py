@@ -94,7 +94,7 @@ import json
 import os
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.catalog import Catalog, parse_catalog, serialize_catalog

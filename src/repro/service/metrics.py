@@ -3,8 +3,8 @@
 :meth:`repro.service.CatalogService.metrics` returns a
 :class:`ServiceMetrics` snapshot that aggregates the engine-level memo-table
 counters (:func:`repro.perf.cache_stats` — hit rate, lock contention,
-eviction pressure) with the service-level counters the benchmark trajectory
-records: served/refused/coalesced request counts, queue depths, latency
+eviction pressure) with the service-level counters the benchmark lanes
+record: served/refused/coalesced request counts, queue depths, latency
 percentiles, deadline-miss rate and the incremental decision-reuse ratio of
 the edit stream.
 

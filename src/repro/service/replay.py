@@ -11,7 +11,10 @@ share: every ``status="ok"`` answer is recomputed on a **fresh, serial**
 :class:`repro.engine.CatalogAnalyzer` built from the catalog snapshot of the
 version the service answered at, and must match bit for bit.  ``partial``
 and ``refused`` answers must carry no verdict at all — the "explicit, never
-silently wrong" half of the service contract.
+silently wrong" half of the service contract.  The catalog of each version
+comes from :func:`replay_history`, which rebuilds it from the edits the
+replay asked for, so the oracle never takes the service's word for what a
+version holds.
 
 :func:`verify_subscriptions` is the same honesty check for the streaming
 layer: the per-edit delta log folds over the version-0 snapshot and must
@@ -33,7 +36,8 @@ import tempfile
 import time
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.engine.catalog import CatalogAnalyzer
+from repro.catalog import Catalog
+from repro.engine.catalog import CatalogAnalyzer, ViewsInput
 from repro.engine.delta import (
     TOPIC_CORE,
     TOPIC_DOMINANCE,
@@ -54,7 +58,7 @@ from repro.service.journal import (
     recover_service,
     scan_journal,
 )
-from repro.service.requests import ServiceRequest, ServiceResponse
+from repro.service.requests import EDIT_KINDS, ServiceRequest, ServiceResponse
 from repro.service.service import CatalogService
 from repro.service.subscriptions import EVENT_DELTA, EVENT_RESYNC
 from repro.views.closure import SearchLimits
@@ -62,6 +66,7 @@ from repro.views.view import View
 
 __all__ = [
     "replay",
+    "replay_history",
     "request_from_event",
     "run_traffic",
     "verify_recovery",
@@ -105,6 +110,39 @@ async def replay(
     return list(await asyncio.gather(*tasks))
 
 
+def replay_history(
+    catalog: ViewsInput, events: Sequence, responses: Sequence[ServiceResponse]
+) -> Dict[int, Dict[str, View]]:
+    """``{version: views}`` for every catalog version a replay committed.
+
+    Version 0 is ``catalog``.  Each edit the service committed (an ``ok``
+    response) names the version it produced in ``answer["version"]``; the
+    edits are applied in that order, each as its event asked, so edits
+    that committed out of submission order still rebuild the versions the
+    service served.  A refused edit produces no version.  ``events`` may
+    be traffic events or service requests: only ``kind``, ``subject`` and
+    ``view`` are read.
+    """
+
+    views = dict(catalog.views) if isinstance(catalog, Catalog) else dict(catalog)
+    committed = sorted(
+        (
+            (response.answer["version"], event)
+            for event, response in zip(events, responses)
+            if event.kind in EDIT_KINDS and response.status == "ok"
+        ),
+        key=lambda item: item[0],
+    )
+    history = {0: dict(views)}
+    for version, event in committed:
+        if event.kind == "add_view":
+            views[event.subject] = event.view
+        else:
+            del views[event.subject]
+        history[version] = dict(views)
+    return history
+
+
 def run_traffic(
     catalog,
     events: Sequence,
@@ -123,13 +161,14 @@ def run_traffic(
 ) -> Dict[str, object]:
     """The one verified traffic lane the CLI and benchmark harness share.
 
-    Builds a history-tracking :class:`CatalogService` over ``catalog``
-    (admission order per ``scheduler``: ``"edf"`` or ``"fifo"``), replays
-    ``events``, snapshots metrics and verifies every exact answer
-    against fresh serial analyzers built with the *same base limits* the
-    service used.  Returns ``{"responses", "metrics", "history",
-    "elapsed_s", "verdict", "subscriptions", "journal"}``; must be called
-    from outside a running event loop (it owns its own ``asyncio.run``).
+    Builds a :class:`CatalogService` over ``catalog`` (admission order per
+    ``scheduler``: ``"edf"`` or ``"fifo"``), replays ``events``, snapshots
+    metrics and verifies every exact answer against fresh serial analyzers
+    built with the *same base limits* the service used, on the versions
+    :func:`replay_history` rebuilds.  Returns ``{"responses", "metrics",
+    "history", "elapsed_s", "verdict", "subscriptions", "journal"}``; must
+    be called from outside a running event loop (it owns its own
+    ``asyncio.run``).
 
     ``subscriber_specs`` (e.g. from :func:`repro.workloads.subscriber_mix`)
     attaches delta subscribers before the replay; their drained event
@@ -173,7 +212,6 @@ def run_traffic(
             queue_limit=queue_limit if queue_limit is not None else len(events) + 8,
             scheduler=scheduler,
             policy=policy,
-            track_history=True,
             journal=journal,
             admission=admission,
             coverage=coverage,
@@ -203,16 +241,14 @@ def run_traffic(
             return (
                 responses,
                 service.metrics(),
-                service.catalog_history(),
                 service.delta_log(),
                 records,
                 elapsed,
                 service.metrics_registry(),
             )
 
-    responses, metrics, history, delta_log, records, elapsed, registry = asyncio.run(
-        drive()
-    )
+    responses, metrics, delta_log, records, elapsed, registry = asyncio.run(drive())
+    history = replay_history(catalog, events, responses)
     trace = None
     if tracer is not None:
         spans = tracer.spans()
@@ -736,13 +772,13 @@ def _journaled_run(catalog, events, limits, journal, jobs=1):
             limits=limits,
             jobs=jobs,
             queue_limit=len(events) + 8,
-            track_history=True,
             journal=journal,
         ) as service:
-            await replay(service, events)
-            return service.catalog_history(), service.version, service.metrics()
+            responses = await replay(service, events)
+            return responses, service.version, service.metrics()
 
-    return asyncio.run(drive())
+    responses, version, metrics = asyncio.run(drive())
+    return replay_history(catalog, events, responses), version, metrics
 
 
 def _check_recovery(
@@ -752,7 +788,7 @@ def _check_recovery(
     history: Mapping[int, Mapping[str, View]],
     mismatches: List[Dict[str, object]],
 ) -> None:
-    """One recovered journal against the service's own history at that version."""
+    """One recovered journal against the replayed history at that version."""
 
     if result.version != expected_version:
         mismatches.append(
@@ -773,7 +809,7 @@ def _check_recovery(
                 "lane": label,
                 "version": expected_version,
                 "error": (
-                    "recovered catalog disagrees with the service history: "
+                    "recovered catalog disagrees with the replayed history: "
                     f"{sorted(result.views)} vs "
                     f"{sorted(history[expected_version])}"
                 ),
@@ -806,7 +842,7 @@ def verify_recovery(
        variants are recovered — a *clean cut* at the record boundary after
        version ``k`` and a *torn* variant ending in a seeded partial prefix
        of the next record.  Each recovery must land on exactly version
-       ``k``, truncate (never fold) the torn tail, match the service's own
+       ``k``, truncate (never fold) the torn tail, match the replayed
        catalog at ``k``, and be **bit-identical** to a fresh serial
        analyzer (:meth:`RecoveryResult.verify`).  Torn variants are
        recovered *twice* — recovery is read-only, so a crash during

@@ -76,8 +76,8 @@ Design:
   subscriber.  Slow subscribers are resynced with a fresh snapshot, never
   silently dropped; reconnects catch up from the retained delta log
   (:mod:`repro.service.subscriptions` documents the delivery contract).
-  ``history_window`` bounds both the replay history and the delta log for
-  long-lived serving; catch-up past the window triggers a snapshot resync.
+  ``history_window`` bounds the delta log for long-lived serving;
+  catch-up past the window triggers a snapshot resync.
 """
 
 from __future__ import annotations
@@ -143,7 +143,6 @@ from repro.service.subscriptions import (
     DEFAULT_BUFFER,
     Subscription,
     SubscriptionHub,
-    evict_versions,
 )
 from repro.views.capacity import QueryCapacity
 from repro.views.closure import SearchLimits
@@ -252,16 +251,11 @@ class CatalogService:
         priority/submission order, the PR-3 baseline).
     policy:
         The deadline-to-budget mapping (:class:`DeadlinePolicy`).
-    track_history:
-        Keep ``{version: views}`` snapshots so a replay harness can verify
-        every answer against a fresh analyzer on the exact catalog state it
-        was computed from.  Cheap for test/benchmark catalogs; off by
-        default for long-lived serving.
     history_window:
-        Retain only the most recent ``history_window`` catalog versions in
-        the replay history *and* the subscription delta log (``None``,
-        the default, retains everything — what replay verification needs).
-        A subscriber catching up from a version already evicted gets a
+        Retain only the deltas of the most recent ``history_window``
+        catalog versions in the subscription delta log (``None``, the
+        default, retains everything — what fold verification needs).  A
+        subscriber catching up from a version already evicted gets a
         snapshot resync instead of a delta catch-up.
     journal:
         An optional :class:`~repro.service.journal.DeltaJournal`.  The
@@ -325,7 +319,6 @@ class CatalogService:
         queue_limit: int = 64,
         scheduler: str = "edf",
         policy: DeadlinePolicy = DeadlinePolicy(),
-        track_history: bool = False,
         history_window: Optional[int] = None,
         journal: Optional[DeltaJournal] = None,
         admission: str = "off",
@@ -359,13 +352,9 @@ class CatalogService:
         self._policy = policy
         self._clock = clock
         self._version = 0
-        self._history: Optional[Dict[int, Dict[str, View]]] = (
-            {0: self._analyzer.views} if track_history else None
-        )
-        self._history_window = None if history_window is None else int(history_window)
         # The hub validates the window (>= 1); deltas are published to it
         # inline by the edit path after every commit.
-        self._hub = SubscriptionHub(window=self._history_window)
+        self._hub = SubscriptionHub(window=history_window)
         # Lifecycle state, created in start().
         self._sched: Optional[AdmissionScheduler] = None
         self._executor: Optional[ThreadPoolExecutor] = None
@@ -532,19 +521,6 @@ class CatalogService:
         """The current analyzer (swapped atomically by the edit stream)."""
 
         return self._analyzer
-
-    def catalog_history(self) -> Dict[int, Dict[str, View]]:
-        """``{version: views}`` snapshots (requires ``track_history=True``).
-
-        With a ``history_window`` set, only the retained versions appear.
-        """
-
-        if self._history is None:
-            raise ServiceError(
-                "catalog history is not tracked; construct the service with "
-                "track_history=True"
-            )
-        return {version: dict(views) for version, views in self._history.items()}
 
     # --------------------------------------------------------- subscriptions
     def subscribe(
@@ -1433,9 +1409,6 @@ class CatalogService:
         self._totals.edits += 1
         self._totals.reuse_reused += reused
         self._totals.reuse_needed += needed
-        if self._history is not None:
-            self._history[self._version] = derived.views
-            evict_versions(self._history, self._version, self._history_window)
         try:
             self._hub.publish(delta, self._snapshot)
         except Exception as error:  # noqa: BLE001 — the dispatcher must survive

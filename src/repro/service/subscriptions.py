@@ -60,7 +60,6 @@ from typing import (
     Iterable,
     List,
     Optional,
-    Tuple as PyTuple,
 )
 
 import asyncio
@@ -111,20 +110,6 @@ CATALOG_TOPICS = (
     TOPIC_DOMINANCE,
     TOPIC_VIEWS,
 )
-
-
-def evict_versions(log: Dict[int, object], current_version: int, window: Optional[int]) -> None:
-    """Drop versions at or below ``current_version - window`` from ``log``.
-
-    The one retention rule shared by the hub's delta log and the service's
-    replay history, so the two can never disagree about what is evicted.
-    No-op when ``window`` is ``None`` (unbounded).
-    """
-
-    if window is None:
-        return
-    for version in [v for v in log if v <= current_version - window]:
-        del log[version]
 
 
 def validate_topics(topics: Iterable[str]) -> FrozenSet[str]:
@@ -363,7 +348,7 @@ class SubscriptionHub:
     def __init__(self, window: Optional[int] = None) -> None:
         if window is not None and window < 1:
             raise ServiceError(f"history window must be >= 1, got {window}")
-        self._window = window
+        self._window = None if window is None else int(window)
         self._subs: Dict[int, Subscription] = {}
         self._log: Dict[int, CatalogDelta] = {}
         self._ids = itertools.count()
@@ -494,7 +479,10 @@ class SubscriptionHub:
         """
 
         self._log[delta.version] = delta
-        evict_versions(self._log, delta.version, self._window)
+        # Keep the deltas of the last ``window`` versions only.
+        if self._window is not None:
+            for version in [v for v in self._log if v <= delta.version - self._window]:
+                del self._log[version]
         self.published += 1
         # One topic derivation per publish, not one per subscriber.
         delta_topics = delta.topics()

@@ -11,7 +11,7 @@ mirror cases (ii) and (iii) of Algorithm 2.1.1 and therefore realise
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Sequence, Union
+from typing import Dict, Iterable, Sequence, Union
 
 from repro.exceptions import TemplateError
 from repro.relational.attributes import Attribute, Constant, DistinguishedSymbol, Symbol

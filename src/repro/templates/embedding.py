@@ -15,7 +15,7 @@ that instantiates rows one at a time, most-constrained row first.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional
 
 from repro.relational.attributes import DistinguishedSymbol, Symbol
 from repro.relational.instance import Instantiation

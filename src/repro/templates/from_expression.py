@@ -19,7 +19,7 @@ number, so symbols created in different join branches can never collide.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterator, List
+from typing import Dict, FrozenSet, List
 
 from repro.exceptions import ExpressionError
 from repro.relalg.ast import Expression, Join, Projection, RelationRef

@@ -38,7 +38,7 @@ from typing import Dict, Iterator, List, Optional, Tuple as PyTuple
 from repro.obs.profile import ENGINE_PROFILE as _PROFILE
 from repro.perf.cache import LRUCache, caches_enabled
 from repro.perf.index import target_index
-from repro.relational.attributes import DistinguishedSymbol, Symbol
+from repro.relational.attributes import Symbol
 from repro.templates.tagged_tuple import TaggedTuple
 from repro.templates.template import Template
 

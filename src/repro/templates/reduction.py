@@ -17,7 +17,7 @@ Two useful companions are provided:
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional
+from typing import Optional
 
 from repro.perf.cache import LRUCache, caches_enabled
 from repro.templates.homomorphism import has_homomorphism

@@ -25,7 +25,7 @@ works directly on them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, Mapping, Optional, Tuple as PyTuple
+from typing import Dict, FrozenSet, Iterator, Mapping, Tuple as PyTuple
 
 from repro.exceptions import SubstitutionError
 from repro.relational.attributes import MarkedSymbol, Symbol

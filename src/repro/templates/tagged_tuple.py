@@ -12,10 +12,10 @@ padding makes structural equality of templates meaningful.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, Mapping, Tuple as PyTuple
+from typing import FrozenSet, Iterator, Mapping, Tuple as PyTuple
 
 from repro.exceptions import TemplateError
-from repro.relational.attributes import Attribute, DistinguishedSymbol, Symbol
+from repro.relational.attributes import Attribute, Symbol
 from repro.relational.schema import AttributeLike, RelationName, RelationScheme
 from repro.relational.tuples import Tuple
 

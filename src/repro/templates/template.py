@@ -25,14 +25,12 @@ from typing import (
     Iterator,
     List,
     Mapping,
-    Optional,
     Set,
-    Tuple as PyTuple,
 )
 
 from repro.exceptions import TemplateError
 from repro.relational.attributes import Attribute, DistinguishedSymbol, Symbol
-from repro.relational.schema import DatabaseSchema, RelationName, RelationScheme
+from repro.relational.schema import RelationName, RelationScheme
 from repro.templates.tagged_tuple import TaggedTuple
 
 __all__ = ["Template", "atomic_template"]

@@ -18,7 +18,6 @@ from repro.templates.template import Template
 from repro.views.closure import (
     Construction,
     SearchLimits,
-    as_template,
     closure_contains,
     find_construction,
     memoised_construction,

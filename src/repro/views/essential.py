@@ -23,7 +23,7 @@ test-suite validates on the paper's worked examples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple as PyTuple
+from typing import FrozenSet, Iterator, List, Mapping, Optional, Tuple as PyTuple
 
 from repro.relational.schema import RelationName
 from repro.templates.homomorphism import SymbolMap, iter_homomorphisms

@@ -16,7 +16,7 @@ here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple as PyTuple, Union
+from typing import List, Sequence, Tuple as PyTuple, Union
 
 from repro.relalg.ast import Expression
 from repro.relational.schema import RelationName
@@ -28,7 +28,7 @@ from repro.views.closure import (
     closure_contains,
     named_generators,
 )
-from repro.views.view import View, ViewDefinition
+from repro.views.view import View
 
 __all__ = [
     "is_redundant_member",

@@ -23,7 +23,6 @@ from __future__ import annotations
 from itertools import combinations
 from typing import List, Optional, Sequence, Tuple as PyTuple, Union
 
-from repro.exceptions import ViewError
 from repro.relalg.ast import Expression, Projection
 from repro.relalg.rewrites import normalize_expression
 from repro.relational.schema import RelationName, RelationScheme

@@ -17,7 +17,7 @@ ambiguous and serves no purpose in the paper's development.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple as PyTuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple as PyTuple, Union
 
 from repro.exceptions import ViewError
 from repro.relalg.ast import Expression

@@ -20,11 +20,11 @@ from typing import Dict, Tuple as PyTuple
 from repro.relalg.ast import Expression, Join, Projection, RelationRef
 from repro.relalg.parser import parse_expression
 from repro.relational.attributes import Attribute, Constant, DistinguishedSymbol
-from repro.relational.schema import DatabaseSchema, RelationName, RelationScheme
+from repro.relational.schema import DatabaseSchema, RelationName
 from repro.templates.substitution import TemplateAssignment
 from repro.templates.tagged_tuple import TaggedTuple
 from repro.templates.template import Template
-from repro.views.view import View, ViewDefinition
+from repro.views.view import View
 
 __all__ = [
     "Example222",

@@ -45,7 +45,6 @@ from repro.service import (
     CatalogService,
     OrderedPool,
     ServiceError,
-    ServiceRequest,
     conformal_interval,
     conformal_p_meet,
     run_traffic,

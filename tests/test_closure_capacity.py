@@ -3,9 +3,9 @@
 import pytest
 
 from repro.perf import cache_stats, caches_enabled, clear_caches, configure
-from repro.relalg import format_expression, parse_expression
+from repro.relalg import parse_expression
 from repro.relational import RelationName
-from repro.templates import substitute, templates_equivalent, template_from_expression
+from repro.templates import templates_equivalent, template_from_expression
 from repro.views import (
     QueryCapacity,
     SearchLimits,

@@ -5,9 +5,8 @@ import pytest
 from repro.relalg import parse_expression
 from repro.relational import Attribute, RelationName
 from repro.relational.attributes import Constant, DistinguishedSymbol
-from repro.templates import TaggedTuple, Template, reduce_template, substitute, templates_equivalent
+from repro.templates import TaggedTuple, Template, reduce_template, templates_equivalent
 from repro.views import (
-    SearchLimits,
     View,
     essential_connected_components,
     essential_tagged_tuples,

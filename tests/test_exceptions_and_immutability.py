@@ -7,14 +7,13 @@ from repro.relalg import parse_expression
 from repro.relational import (
     Attribute,
     Constant,
-    DatabaseSchema,
     Instantiation,
     Relation,
     RelationName,
     RelationScheme,
 )
 from repro.relational.tuples import tuple_from_values
-from repro.templates import TaggedTuple, Template, atomic_template
+from repro.templates import Template, atomic_template
 from repro.views import View
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import ExpressionError
-from repro.relalg.ast import Join, Projection, RelationRef
+from repro.relalg.ast import Projection, RelationRef
 from repro.relalg.evaluate import evaluate, expressions_equivalent
 from repro.relalg.expand import expand_expression
 from repro.relalg.parser import parse_expression

@@ -1,7 +1,5 @@
 """Unit tests for expression normalisation and proper projections."""
 
-import pytest
-
 from repro.relalg.ast import Join, Projection, RelationRef
 from repro.relalg.evaluate import expressions_equivalent
 from repro.relalg.parser import parse_expression

@@ -1,8 +1,5 @@
 """Tests for homomorphisms, containment, equivalence and isomorphism of templates."""
 
-import pytest
-
-from repro.relalg.evaluate import evaluate
 from repro.relalg.parser import parse_expression
 from repro.relational.generators import random_instantiation
 from repro.templates.canonical import canonical_instantiation, has_homomorphism_via_canonical

@@ -1,7 +1,5 @@
 """Cross-module integration tests: full pipelines the paper's results describe."""
 
-import pytest
-
 from repro.core import ViewAnalyzer
 from repro.relalg import evaluate, parse_expression
 from repro.relational import DatabaseSchema, RelationName

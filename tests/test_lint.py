@@ -54,6 +54,7 @@ RULE_FIXTURES = {
     "REPRO-HOT-GUARD": "hotguard",
     "REPRO-UNBOUNDED-CACHE": "caches",
     "REPRO-SWALLOW": "swallow",
+    "REPRO-UNUSED-IMPORT": "imports",
 }
 
 
@@ -339,6 +340,47 @@ class TestFixturePairs:
 # --------------------------------------------------------------------------
 # Engine policy: exit status, rule selection, internal errors
 # --------------------------------------------------------------------------
+class TestUnusedImportRule:
+    def test_planted_unused_imports_are_flagged(self):
+        result = run_lint(
+            [_fixture("imports_bad.py")],
+            rule_ids=["REPRO-UNUSED-IMPORT"],
+            scoped=False,
+        )
+        flagged = sorted(f.message.split("'")[1] for f in result.findings)
+        assert flagged == ["Dict", "json"]
+        assert {f.line for f in result.findings} == {3, 5}
+        assert {f.severity for f in result.findings} == {"warning"}
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            # Read only in an annotation, plain or quoted.
+            "from typing import Optional\n\ndef f(x: Optional[int]) -> None:\n    pass\n",
+            "from typing import Sequence\n\ndef f() -> 'Sequence[int]':\n    return ()\n",
+            # ``import a.b`` binds ``a``, read as ``a.b.c``.
+            "import os.path\n\nSEP = os.path.sep\n",
+            # Listed in ``__all__``: a re-export.
+            "from os import sep\n\n__all__ = ['sep']\n",
+            # A compiler directive, not a binding.
+            "from __future__ import annotations\n",
+        ],
+    )
+    def test_read_or_exported_names_are_not_flagged(self, tmp_path, source):
+        module = tmp_path / "module.py"
+        module.write_text(source)
+        result = run_lint([str(module)], rule_ids=["REPRO-UNUSED-IMPORT"])
+        assert result.findings == []
+
+    def test_init_modules_are_exempt(self, tmp_path):
+        package = tmp_path / "pkg"
+        package.mkdir()
+        (package / "__init__.py").write_text("from os import sep\n")
+        (package / "impl.py").write_text("from os import sep\n")
+        result = run_lint([str(package)], rule_ids=["REPRO-UNUSED-IMPORT"])
+        assert [f.path for f in result.findings] == ["impl.py"]
+
+
 class TestEnginePolicy:
     def test_warning_fails_only_under_strict(self):
         result = run_lint(

@@ -1,7 +1,6 @@
-"""SLO burn rates, latency attribution, tail sampling, bench history.
+"""SLO burn rates, latency attribution, tail sampling.
 
-The PR 10 telemetry-consumption contract, mirroring ``src/repro/obs``
-and ``src/repro/perf/history.py``:
+The PR 10 telemetry-consumption contract, mirroring ``src/repro/obs``:
 
 * the burn-rate engine alerts only when *both* windows exceed their
   thresholds after warm-up, edge-counts transitions, and (with
@@ -14,9 +13,7 @@ and ``src/repro/perf/history.py``:
   mark (Little's law as a consistency check);
 * the tail sampler keeps EVERY interesting trace (shed, deadline-missed,
   refused, SLO-violating) with probability 1, samples boring ones at a
-  deterministic head rate, and its kept/dropped ledger balances exactly;
-* the bench history file appends one direction-tagged entry per run and
-  ``repro bench-history`` exits nonzero on a planted regression.
+  deterministic head rate, and its kept/dropped ledger balances exactly.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.obs import (
-    DEFAULT_SLOS,
     SloEngine,
     SloSpec,
     Span,
@@ -43,15 +39,9 @@ from repro.obs import (
     validate_exposition,
     verify_trace,
 )
+from repro.obs.attribution import TOP_K
 from repro.obs.tracing import group_spans
 from repro.perf import clear_caches
-from repro.perf.history import (
-    append_history,
-    flag_regressions,
-    history_entry,
-    load_history,
-    tracked_metrics,
-)
 from repro.service import (
     OVERLOAD_POLICY,
     CatalogService,
@@ -373,15 +363,21 @@ class TestAttribution:
             Span(2, "queue", 0.0, 0.3, {"kind": "add_view"}),
             Span(2, "compute", 0.3, 0.4),
         ]
-        report = attribution_report(spans, top_k=2)
-        assert report["overall"]["traces"] == 2
-        assert set(report["by_kind"]) == {"membership", "add_view"}
+        # Five more single-stage traces, shorter than the two above: the
+        # report lists the TOP_K largest cells and traces, nothing more.
+        spans += [
+            Span(trace_id, "compute", 0.0, 0.01 * trace_id)
+            for trace_id in range(3, 8)
+        ]
+        report = attribution_report(spans)
+        assert report["overall"]["traces"] == 7
+        assert set(report["by_kind"]) == {"membership", "add_view", "unknown"}
         assert report["top_slowest"][0] == {
             "trace_id": 1, "stage": "compute", "seconds": pytest.approx(0.4),
         }
         assert report["slowest_traces"][0]["trace_id"] == 1
-        with pytest.raises(ValueError):
-            attribution_report(spans, top_k=0)
+        assert len(report["top_slowest"]) == len(report["slowest_traces"]) == TOP_K
+        assert [t["trace_id"] for t in report["slowest_traces"]] == [1, 2, 7, 6, 5]
 
     def test_kindless_spans_group_as_unknown(self):
         report = attribution_report([Span(7, "compute", 0.0, 0.2)])
@@ -569,75 +565,6 @@ class TestSloSamplerMetricsExport:
         assert "SLO burn rates" not in bare and "tail sampler" not in bare
 
 
-# ------------------------------------------------------------- bench history
-def _report(tput, overhead, schema_version=8, cpus=4):
-    return {
-        "schema_version": schema_version,
-        "created_unix": 1000,
-        "python": "3.11",
-        "cpus": cpus,
-        "config": {"smoke": True},
-        "summary": {
-            "engine": {"median_speedup_cold": 2.0, "median_speedup_warm": 3.0},
-            "service": {
-                "service": {"lane": {"throughput_rps": tput}},
-                "tracing": {"trace_overhead_ratio": overhead},
-                "sampling": {"sampler_overhead_ratio": overhead},
-            },
-        },
-    }
-
-
-class TestBenchHistory:
-    def test_tracked_metrics_carry_direction(self):
-        metrics = tracked_metrics(_report(1000.0, 1.01))
-        assert metrics["engine.median_speedup_cold"]["higher_is_better"]
-        assert metrics["service.lane.throughput_rps"]["value"] == 1000.0
-        assert not metrics["service.trace_overhead_ratio"]["higher_is_better"]
-        assert not metrics["service.sampler_overhead_ratio"]["higher_is_better"]
-
-    def test_two_runs_append_two_entries(self, tmp_path):
-        path = str(tmp_path / "hist.jsonl")
-        append_history(_report(1000.0, 1.01), path, git_rev="aaa")
-        append_history(_report(990.0, 1.02), path, git_rev="bbb")
-        entries = load_history(path)
-        assert len(entries) == 2
-        assert [e["git_rev"] for e in entries] == ["aaa", "bbb"]
-        assert entries[0]["schema_version"] == 8 and entries[0]["smoke"] is True
-        verdict = flag_regressions(entries)
-        assert verdict["comparable"] and not verdict["regressions"]
-
-    def test_planted_regression_is_flagged_both_directions(self, tmp_path):
-        path = str(tmp_path / "hist.jsonl")
-        append_history(_report(1000.0, 1.01), path)
-        append_history(_report(400.0, 1.5), path)  # throughput ÷2.5, overhead +49%
-        verdict = flag_regressions(load_history(path), band=0.2)
-        flagged = {change["metric"] for change in verdict["regressions"]}
-        assert "service.lane.throughput_rps" in flagged
-        assert "service.sampler_overhead_ratio" in flagged
-        assert "service.trace_overhead_ratio" in flagged
-
-    def test_incomparable_runs_are_not_compared(self, tmp_path):
-        path = str(tmp_path / "hist.jsonl")
-        append_history(_report(1000.0, 1.01, cpus=4), path)
-        append_history(_report(400.0, 1.5, cpus=16), path)
-        verdict = flag_regressions(load_history(path))
-        assert not verdict["comparable"] and not verdict["regressions"]
-
-    def test_band_validation_and_corrupt_file(self, tmp_path):
-        with pytest.raises(ValueError):
-            flag_regressions([], band=1.0)
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text("not json\n")
-        with pytest.raises(ValueError):
-            load_history(str(bad))
-        assert load_history(str(tmp_path / "missing.jsonl")) == []
-
-    def test_history_entry_stamps_come_from_report(self):
-        entry = history_entry(_report(1000.0, 1.01), git_rev="abc")
-        assert entry["created_unix"] == 1000 and entry["git_rev"] == "abc"
-
-
 # -------------------------------------------------------------------- CLI
 def run_cli(args):
     out = io.StringIO()
@@ -711,24 +638,3 @@ class TestCli:
             handle.write("{}")
         status, text = run_cli(["top", "--metrics", bad])
         assert status == 2 and "served" in text
-
-    def test_bench_history_flags_planted_regression(self, tmp_path):
-        path = str(tmp_path / "hist.jsonl")
-        append_history(_report(1000.0, 1.01), path, git_rev="aaa")
-        append_history(_report(990.0, 1.02), path, git_rev="bbb")
-        status, text = run_cli(["bench-history", "--path", path])
-        assert status == 0 and "no regressions" in text
-        append_history(_report(400.0, 1.5), path, git_rev="ccc")
-        status, text = run_cli(["bench-history", "--path", path])
-        assert status == 1 and "REGRESSION" in text
-        status, text = run_cli(["bench-history", "--path", path, "--json"])
-        assert status == 1
-        assert json.loads(text)["regressions"]
-
-    def test_bench_history_band_validation_and_missing_file(self, tmp_path):
-        status, text = run_cli(["bench-history", "--band", "2.0"])
-        assert status == 2 and "--band" in text
-        status, text = run_cli(
-            ["bench-history", "--path", str(tmp_path / "none.jsonl")]
-        )
-        assert status == 0 and "no entries" in text

@@ -1,10 +1,10 @@
-"""Cache sizing knobs and observability counters of :mod:`repro.perf.cache`."""
+"""Observability counters of :mod:`repro.perf.cache`."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.perf.cache import CacheStats, LRUCache, cache_stats, configure
+from repro.perf.cache import CacheStats, LRUCache, cache_stats
 
 
 @pytest.fixture
@@ -12,51 +12,6 @@ def scratch_cache():
     cache = LRUCache("test.scratch", maxsize=4)
     yield cache
     cache.clear()
-
-
-class TestResize:
-    def test_shrink_evicts_lru_entries(self, scratch_cache):
-        for index in range(4):
-            scratch_cache.put(index, index)
-        scratch_cache.lookup(0)  # refresh 0: the LRU entries are now 1 and 2
-        scratch_cache.resize(2)
-        assert len(scratch_cache) == 2
-        assert scratch_cache.maxsize == 2
-        assert scratch_cache.lookup(0) == (True, 0)
-        assert scratch_cache.lookup(3) == (True, 3)
-        assert scratch_cache.lookup(1) == (False, None)
-        # Operator resizes are not working-set pressure: the eviction counter
-        # (and therefore eviction_pressure) only moves on displacing inserts.
-        assert scratch_cache.stats().evictions == 0
-
-    def test_grow_keeps_entries(self, scratch_cache):
-        for index in range(4):
-            scratch_cache.put(index, index)
-        scratch_cache.resize(16)
-        assert scratch_cache.maxsize == 16
-        assert all(scratch_cache.lookup(i)[0] for i in range(4))
-
-    def test_configure_global_and_per_table(self, scratch_cache):
-        before = {name: stats.maxsize for name, stats in cache_stats().items()}
-        try:
-            configure(table_sizes={"test.scratch": 2})
-            assert scratch_cache.maxsize == 2
-            # Only the named table changed.
-            for name, stats in cache_stats().items():
-                if name != "test.scratch":
-                    assert stats.maxsize == before[name]
-            configure(maxsize=64)
-            assert all(s.maxsize == 64 for s in cache_stats().values())
-            # Per-table overrides compose after a global resize.
-            configure(maxsize=32, table_sizes={"test.scratch": 128})
-            assert scratch_cache.maxsize == 128
-            assert cache_stats()["closure.find_construction"].maxsize == 32
-        finally:
-            configure(table_sizes=before)
-
-    def test_configure_rejects_unknown_table(self):
-        with pytest.raises(KeyError):
-            configure(table_sizes={"no.such.table": 8})
 
 
 class TestObservability:
@@ -85,8 +40,10 @@ class TestObservability:
         stats = scratch_cache.stats()
         assert (stats.hits, stats.misses) == (1, 0)
         # A hit refreshes recency as lookup() does: "other" is evicted first.
-        scratch_cache.resize(1)
+        for index in range(3):
+            scratch_cache.put(index, index)
         assert scratch_cache.lookup("k") == (True, "v")
+        assert scratch_cache.lookup("other") == (False, None)
 
     def test_clear_resets_all_counters(self, scratch_cache):
         scratch_cache.lookup("missing")

@@ -1,9 +1,6 @@
 """End-to-end verification of the paper's worked examples (benchmark E9's substance)."""
 
-import pytest
-
 from repro.relalg import parse_expression
-from repro.relational import DatabaseSchema
 from repro.relational.generators import random_instantiation
 from repro.templates import (
     apply_assignment,
@@ -15,7 +12,6 @@ from repro.templates import (
 )
 from repro.views import (
     QueryCapacity,
-    dominates,
     is_nonredundant_view,
     is_simplified_view,
     simplified_views_match,

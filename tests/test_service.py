@@ -43,6 +43,8 @@ from repro.service import (
     ServiceRequest,
     percentile,
     replay,
+    replay_history,
+    request_from_event,
     run_traffic,
     verify_replay,
 )
@@ -51,6 +53,7 @@ from repro.service.scheduler import OrderedPool
 from repro.views import SearchLimits, View
 from repro.workloads import (
     SchemaSpec,
+    TrafficEvent,
     random_schema,
     subscriber_mix,
     traffic_mix,
@@ -365,7 +368,7 @@ class TestEditStream:
         copy = small_catalog["Split"].renamed({"W1": "X1", "W2": "X2"})
 
         async def main():
-            async with CatalogService(small_catalog, track_history=True) as service:
+            async with CatalogService(small_catalog) as service:
                 await service.nonredundant_core()  # warm the matrix at v0
                 added = await service.add_view("Zcopy", copy)
                 core = await service.nonredundant_core()
@@ -511,25 +514,25 @@ class TestEditStream:
             [(parse_expression("pi{B}(q)", q_schema), RelationName("Z1", "B"))],
             q_schema,
         )
+        other = DatabaseSchema([RelationName("r", "AB")])
+        stray = View([(parse_expression("r", other), RelationName("S1", "AB"))], other)
+        edits = [
+            ServiceRequest(kind="add_view", subject="Extra", view=extra),
+            ServiceRequest(kind="add_view", subject="Stray", view=stray),
+            ServiceRequest(kind="drop_view", subject="Extra"),
+        ]
 
-        async def main():
-            async with CatalogService(small_catalog, track_history=True) as service:
-                await service.add_view("Extra", extra)
-                await service.drop_view("Extra")
-                return service.catalog_history()
-
-        history = run(main())
-        assert set(history) == {0, 1, 2}
-        assert "Extra" in history[1] and "Extra" not in history[2]
-        assert history[0].keys() == history[2].keys()
-
-    def test_history_requires_opt_in(self, small_catalog):
         async def main():
             async with CatalogService(small_catalog) as service:
-                service.catalog_history()
+                return [await service.submit(edit) for edit in edits]
 
-        with pytest.raises(ServiceError):
-            run(main())
+        responses = run(main())
+        # The foreign-schema edit is refused and produces no version.
+        assert [r.status for r in responses] == ["ok", "refused", "ok"]
+        history = replay_history(small_catalog, edits, responses)
+        assert set(history) == {0, 1, 2}
+        assert "Extra" in history[1] and "Extra" not in history[2]
+        assert history[0].keys() == history[2].keys() == small_catalog.keys()
 
 
 def _count_pool_submits(monkeypatch):
@@ -1037,13 +1040,15 @@ class TestTrafficReplayIdentity:
 
         async def main():
             async with CatalogService(
-                catalog, jobs=2, queue_limit=len(events) + 8, track_history=True
+                catalog, jobs=2, queue_limit=len(events) + 8
             ) as service:
                 responses = await replay(service, events)
-                return responses, service.metrics(), service.catalog_history()
+                return responses, service.metrics()
 
-        responses, metrics, history = run(main())
-        verdict = verify_replay(history, events, responses)
+        responses, metrics = run(main())
+        verdict = verify_replay(
+            replay_history(catalog, events, responses), events, responses
+        )
         assert verdict["mismatches"] == []
         assert verdict["checked"] > 0
         assert metrics.edits > 0
@@ -1090,6 +1095,69 @@ class TestTrafficReplayIdentity:
         assert len(lane["responses"]) == len(events)
         assert lane["metrics"].served > 0
         assert 0 in lane["history"]
+
+    def test_history_follows_commit_order(self, small_catalog, q_schema, monkeypatch):
+        # Under FIFO a queued edit's priority orders it: hold the first
+        # edit's engine job while a priority-20 add and then a priority-5
+        # drop queue, so the drop commits before the add.
+        extra = View(
+            [(parse_expression("pi{B}(q)", q_schema), RelationName("Z1", "B"))],
+            q_schema,
+        )
+        copy = small_catalog["Split"].renamed({"W1": "X1", "W2": "X2"})
+        events = [
+            TrafficEvent(kind="add_view", subject="Extra", view=extra),
+            TrafficEvent(kind="add_view", subject="Zcopy", view=copy, priority=20),
+            TrafficEvent(kind="drop_view", subject="Extra", priority=5),
+            TrafficEvent(kind="nonredundant_core"),
+            TrafficEvent(kind="dominance", subject="Split", other="Joined"),
+        ]
+        entered = threading.Event()
+        release = threading.Event()
+        # The views of every version the service derives, in commit order.
+        committed = [dict(small_catalog)]
+        with_view = CatalogAnalyzer.with_view
+        without_view = CatalogAnalyzer.without_view
+
+        def held_with_view(self, name, view):
+            if name == "Extra":
+                entered.set()
+                assert release.wait(timeout=10)
+            derived = with_view(self, name, view)
+            committed.append(derived.views)
+            return derived
+
+        def recorded_without_view(self, name):
+            derived = without_view(self, name)
+            committed.append(derived.views)
+            return derived
+
+        monkeypatch.setattr(CatalogAnalyzer, "with_view", held_with_view)
+        monkeypatch.setattr(CatalogAnalyzer, "without_view", recorded_without_view)
+
+        async def main():
+            async with CatalogService(small_catalog, scheduler="fifo") as service:
+                loop = asyncio.get_running_loop()
+
+                def submit(event):
+                    return loop.create_task(service.submit(request_from_event(event)))
+
+                tasks = [submit(events[0])]
+                assert await loop.run_in_executor(None, entered.wait, 10)
+                for event in events[1:]:
+                    tasks.append(submit(event))
+                    await asyncio.sleep(0)  # submit() queues before it awaits
+                release.set()
+                return await asyncio.wait_for(asyncio.gather(*tasks), timeout=10)
+
+        responses = run(main())
+        assert [r.answer["version"] for r in responses[:3]] == [1, 3, 2]
+        assert [r.version for r in responses[3:]] == [2, 2]
+        history = replay_history(small_catalog, events, responses)
+        assert history == dict(enumerate(committed))
+        verdict = verify_replay(history, events, responses)
+        assert verdict["mismatches"] == []
+        assert verdict["checked"] == 2
 
 
 class TestMetricsGuards:

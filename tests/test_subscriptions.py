@@ -30,7 +30,6 @@ from repro.engine import (
     CatalogSnapshot,
     coalesce_deltas,
     classes_from_matrix,
-    compute_delta,
     core_from_matrix,
     fold_classes,
     fold_core,
@@ -45,7 +44,9 @@ from repro.service import (
     CatalogService,
     DeltaJournal,
     ServiceError,
+    ServiceRequest,
     SubscriptionHub,
+    replay_history,
     run_traffic,
     scan_journal,
     verify_subscriptions,
@@ -564,29 +565,21 @@ class TestServiceIntegration:
         seen = run(main())
         assert len(seen) == 1 and seen[0].type == EVENT_DELTA
 
-    def test_history_window_bounds_history_and_log(
+    def test_history_window_bounds_the_delta_log(
         self, small_catalog, weak_view, q_schema
     ):
         copy = small_catalog["Split"].renamed({"W1": "X1", "W2": "X2"})
 
         async def main():
-            async with CatalogService(
-                small_catalog, track_history=True, history_window=2
-            ) as service:
+            async with CatalogService(small_catalog, history_window=2) as service:
                 await service.add_view("Zextra", weak_view)   # v1
                 await service.drop_view("Zextra")             # v2
                 await service.add_view("Zcopy", copy)         # v3
                 late = service.subscribe(["core"], from_version=0)
                 recent = service.subscribe(["core", "dominance"], from_version=2)
-                return (
-                    service.catalog_history(),
-                    service.delta_log(),
-                    late.drain(),
-                    recent.drain(),
-                )
+                return service.delta_log(), late.drain(), recent.drain()
 
-        history, log, late_events, recent_events = run(main())
-        assert sorted(history) == [2, 3]
+        log, late_events, recent_events = run(main())
         assert sorted(log) == [2, 3]
         # Past the window: snapshot resync.  Inside it: coalesced catch-up
         # (version 3 touched the core via the added copy? regardless, any
@@ -604,6 +597,18 @@ class TestServiceIntegration:
 
         with pytest.raises(ServiceError):
             run(main())
+
+
+def _edit(catalog, edits):
+    """Submit ``edits`` in order; return the replayed history and delta log."""
+
+    async def main():
+        async with CatalogService(catalog) as service:
+            responses = [await service.submit(edit) for edit in edits]
+            return responses, service.delta_log()
+
+    responses, log = run(main())
+    return replay_history(catalog, edits, responses), log
 
 
 class TestTrafficVerification:
@@ -629,12 +634,10 @@ class TestTrafficVerification:
         assert verdict["subscribers_checked"] == 3
 
     def test_verifier_flags_a_corrupted_delta(self, small_catalog, weak_view):
-        async def main():
-            async with CatalogService(small_catalog, track_history=True) as service:
-                await service.add_view("Zextra", weak_view)
-                return service.catalog_history(), service.delta_log()
-
-        history, log = run(main())
+        history, log = _edit(
+            small_catalog,
+            [ServiceRequest(kind="add_view", subject="Zextra", view=weak_view)],
+        )
         honest = verify_subscriptions(history, log)
         assert honest["mismatches"] == []
         # Corrupt the core accounting of the only delta: the fold must
@@ -649,31 +652,28 @@ class TestTrafficVerification:
         assert any(m.get("topic") == "core" for m in verdict["mismatches"])
 
     def test_verifier_flags_missing_versions(self, small_catalog, weak_view):
-        async def main():
-            async with CatalogService(small_catalog, track_history=True) as service:
-                await service.add_view("Zextra", weak_view)
-                await service.drop_view("Zextra")
-                return service.catalog_history(), service.delta_log()
-
-        history, log = run(main())
+        history, log = _edit(
+            small_catalog,
+            [
+                ServiceRequest(kind="add_view", subject="Zextra", view=weak_view),
+                ServiceRequest(kind="drop_view", subject="Zextra"),
+            ],
+        )
         del log[1]
         verdict = verify_subscriptions(history, log)
         assert any("no delta retained" in m.get("error", "") for m in verdict["mismatches"])
 
     def test_verifier_flags_ledger_imbalance(self, small_catalog, weak_view):
-        async def main():
-            async with CatalogService(small_catalog, track_history=True) as service:
-                sub = service.subscribe(["core", "dominance", "equivalence_classes"])
-                await service.add_view("Zextra", weak_view)
-                events = sub.drain()
-                return (
-                    service.catalog_history(),
-                    service.delta_log(),
-                    events,
-                    sub.stats(),
-                )
+        edit = ServiceRequest(kind="add_view", subject="Zextra", view=weak_view)
 
-        history, log, events, stats = run(main())
+        async def main():
+            async with CatalogService(small_catalog) as service:
+                sub = service.subscribe(["core", "dominance", "equivalence_classes"])
+                response = await service.submit(edit)
+                return response, service.delta_log(), sub.drain(), sub.stats()
+
+        response, log, events, stats = run(main())
+        history = replay_history(small_catalog, [edit], [response])
         # Simulate a silently dropped delta: the consumer never saw it and
         # nothing was superseded.
         stats = dict(stats, consumed=0, pending=0)

@@ -4,9 +4,8 @@ import pytest
 
 from repro.exceptions import ViewError
 from repro.relalg import evaluate, parse_expression
-from repro.relational import RelationName
 from repro.relational.generators import random_instantiation, skewed_instantiation
-from repro.views import View, answer_view_query, surrogate_query
+from repro.views import answer_view_query, surrogate_query
 
 
 @pytest.fixture
