@@ -1,15 +1,12 @@
-"""The lint engine: walk files, run rules, apply suppressions and baseline.
+"""The lint engine: walk files, run rules, apply inline suppressions.
 
 :func:`run_lint` is the one entry point the CLI, the CI job and the tests
 share.  It returns a :class:`LintResult` splitting everything it saw into
 the buckets the exit-status policy needs:
 
-* ``findings``      — new violations (fail the run);
+* ``findings``      — violations (fail the run);
 * ``suppressed``    — silenced by an inline ``# repro: allow[...]`` with
-  its mandatory reason;
-* ``baselined``     — grandfathered by the baseline file;
-* ``stale_baseline``— baseline entries matching nothing (fail under
-  ``--strict`` so dead grandfather clauses get pruned);
+  its mandatory reason, the one exemption;
 * ``unused_suppressions`` — ``allow`` comments whose target line no
   longer fires the named rule (reported, never fatal).
 
@@ -25,11 +22,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from repro.analysis.baseline import (
-    BaselineEntry,
-    load_baseline,
-    match_baseline,
-)
 from repro.analysis.findings import SEVERITY_ERROR, Finding
 from repro.analysis.rules import Rule, select_rules
 from repro.analysis.source import ModuleSource
@@ -51,23 +43,18 @@ class LintResult:
 
     findings: List[Finding] = field(default_factory=list)
     suppressed: List[Tuple[Finding, Suppression]] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
-    stale_baseline: List[BaselineEntry] = field(default_factory=list)
     unused_suppressions: List[Suppression] = field(default_factory=list)
     files_scanned: int = 0
     rules_run: List[Rule] = field(default_factory=list)
 
     def exit_status(self, strict: bool = False) -> int:
-        """0 clean, 1 new findings (strict adds warnings + stale entries)."""
+        """0 clean, 1 on an error finding (on any finding under ``strict``)."""
 
-        fatal = [
-            finding
+        fatal = any(
+            strict or finding.severity == SEVERITY_ERROR
             for finding in self.findings
-            if strict or finding.severity == SEVERITY_ERROR
-        ]
-        if fatal or (strict and self.stale_baseline):
-            return 1
-        return 0
+        )
+        return 1 if fatal else 0
 
 
 def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
@@ -163,26 +150,17 @@ def lint_file(
 def run_lint(
     paths: Sequence[str],
     rule_ids: Optional[Sequence[str]] = None,
-    baseline_path: Optional[str] = None,
     scoped: bool = True,
 ) -> LintResult:
-    """Lint ``paths`` with the selected rules against an optional baseline."""
+    """Lint ``paths`` with the selected rules."""
 
     rules = select_rules(rule_ids)
     result = LintResult(rules_run=rules)
-    all_findings: List[Finding] = []
     for path in iter_python_files(paths):
         findings, suppressed, unused = lint_file(path, rules, scoped=scoped)
-        all_findings.extend(findings)
+        result.findings.extend(findings)
         result.suppressed.extend(suppressed)
         result.unused_suppressions.extend(unused)
         result.files_scanned += 1
-
-    entries: List[BaselineEntry] = (
-        load_baseline(baseline_path) if baseline_path else []
-    )
-    new, baselined, stale = match_baseline(sorted(all_findings), entries)
-    result.findings = new
-    result.baselined = baselined
-    result.stale_baseline = stale
+    result.findings.sort()
     return result

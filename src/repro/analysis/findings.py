@@ -1,15 +1,11 @@
 """Finding records emitted by the concurrency-invariant linter.
 
 A :class:`Finding` is one rule violation at one source location.  Findings
-are value objects: hashable, totally ordered by location, and carrying a
-stable *fingerprint* — a digest of the rule, the file and the message
-(deliberately **not** the line number, so a baseline entry survives
-unrelated edits that shift code up or down the file).
+are value objects: hashable and totally ordered by location.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -30,7 +26,7 @@ class Finding:
     Every field participates in equality and ordering — field order makes
     the sort location-primary, while two *different* rules firing on the
     same line stay distinct findings (a location-only equality would
-    collapse them in sets and baselines).
+    collapse them in sets).
     """
 
     path: str
@@ -52,24 +48,11 @@ class Finding:
 
         return f"{self.path}:{self.line}:{self.col}"
 
-    @property
-    def fingerprint(self) -> str:
-        """Line-independent identity used by the baseline file.
-
-        Two findings with the same rule, file and message share a
-        fingerprint even when the offending code moves, so grandfathered
-        entries do not churn on every unrelated edit above them.
-        """
-
-        raw = f"{self.rule_id}\x00{self.path}\x00{self.message}"
-        return hashlib.sha256(raw.encode("utf-8")).hexdigest()[:16]
-
     def to_dict(self) -> dict:
         """The JSON-reporter representation (schema-stable, sorted keys)."""
 
         return {
             "col": self.col,
-            "fingerprint": self.fingerprint,
             "line": self.line,
             "message": self.message,
             "path": self.path,

@@ -15,7 +15,7 @@ from repro.analysis.engine import LintResult
 
 __all__ = ["REPORT_SCHEMA_VERSION", "render_json", "render_text"]
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 def render_json(result: LintResult, strict: bool = False) -> dict:
@@ -27,7 +27,7 @@ def render_json(result: LintResult, strict: bool = False) -> dict:
         "exit_status": result.exit_status(strict=strict),
         "summary": {
             "files_scanned": result.files_scanned,
-            "new": len(result.findings),
+            "findings": len(result.findings),
             "errors": sum(
                 1 for f in result.findings if f.severity == "error"
             ),
@@ -35,8 +35,6 @@ def render_json(result: LintResult, strict: bool = False) -> dict:
                 1 for f in result.findings if f.severity == "warning"
             ),
             "suppressed": len(result.suppressed),
-            "baselined": len(result.baselined),
-            "stale_baseline": len(result.stale_baseline),
             "unused_suppressions": len(result.unused_suppressions),
         },
         "findings": [finding.to_dict() for finding in result.findings],
@@ -48,8 +46,6 @@ def render_json(result: LintResult, strict: bool = False) -> dict:
             }
             for finding, suppression in result.suppressed
         ],
-        "baselined": [finding.to_dict() for finding in result.baselined],
-        "stale_baseline": [entry.to_dict() for entry in result.stale_baseline],
         "unused_suppressions": [
             {
                 "path": suppression.path,
@@ -72,26 +68,17 @@ def render_text(result: LintResult, strict: bool = False) -> List[str]:
             f"{finding.location}  {finding.rule_id}  [{finding.severity}]  "
             f"{finding.message}"
         )
-    for entry in result.stale_baseline:
-        lines.append(
-            f"{entry.path}  {entry.rule_id}  [stale-baseline]  entry matches "
-            f"nothing any more — remove it ({entry.reason})"
-        )
     for suppression in result.unused_suppressions:
         lines.append(
             f"{suppression.path}:{suppression.comment_line}  "
             f"{suppression.rule_id}  [unused-suppression]  nothing on the "
             "target line fires this rule — remove the allow comment"
         )
-    summary = (
+    lines.append(
         f"{result.files_scanned} files scanned: "
-        f"{len(result.findings)} new finding(s), "
-        f"{len(result.suppressed)} suppressed, "
-        f"{len(result.baselined)} baselined, "
-        f"{len(result.stale_baseline)} stale baseline entr"
-        f"{'y' if len(result.stale_baseline) == 1 else 'ies'}"
+        f"{len(result.findings)} finding(s), "
+        f"{len(result.suppressed)} suppressed"
     )
-    lines.append(summary)
     if result.exit_status(strict=strict) == 0:
         lines.append("clean")
     return lines

@@ -35,8 +35,8 @@ class LintConfigError(ValueError):
 class Rule:
     """Base class: one invariant, one stable id, one AST pass per module."""
 
-    #: Stable identifier, e.g. ``"REPRO-CLOCK"`` — what suppressions and the
-    #: baseline refer to.
+    #: Stable identifier, e.g. ``"REPRO-CLOCK"`` — what suppressions refer
+    #: to.
     rule_id: str = ""
     #: ``"error"`` or ``"warning"``; see :mod:`repro.analysis.findings`.
     severity: str = "error"

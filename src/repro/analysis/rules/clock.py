@@ -12,7 +12,7 @@ whole scanned tree.
 Benchmark harnesses are the sanctioned exception (they measure wall-clock
 cost of whole runs and never feed stamps back into the stack), hence the
 ``benchmarks/`` whitelist — but the tier-1 lint scan covers ``src`` and
-``tests``, where no exception exists and the baseline target is empty.
+``tests``, where no exception exists.
 """
 
 from __future__ import annotations

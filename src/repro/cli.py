@@ -370,23 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run only the named rule (repeatable)",
     )
     lint.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="baseline file of grandfathered findings (JSON, version 1)",
-    )
-    lint.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite --baseline to cover exactly the current findings "
-        "(existing reasons carried forward, new entries get a placeholder "
-        "reason to replace before committing)",
-    )
-    lint.add_argument(
         "--strict",
         action="store_true",
-        help="fail on warnings and stale baseline entries too, not just "
-        "errors — the CI mode",
+        help="fail on warnings too, not just errors — the CI mode",
     )
 
     recover = subparsers.add_parser(
@@ -1102,43 +1088,16 @@ def _cmd_recover(args, out) -> int:
 
 def _cmd_lint(args, out) -> int:
     from repro.analysis import (
-        BaselineError,
         LintConfigError,
         LintError,
-        load_baseline,
         render_json,
         render_text,
         run_lint,
-        update_baseline,
-        write_baseline,
     )
 
-    if args.update_baseline and args.baseline is None:
-        print("error: --update-baseline requires --baseline", file=out)
-        return 2
     try:
-        result = run_lint(
-            args.paths,
-            rule_ids=args.rule,
-            baseline_path=args.baseline if not args.update_baseline else None,
-        )
-        if args.update_baseline:
-            import os
-
-            existing = (
-                load_baseline(args.baseline)
-                if os.path.exists(args.baseline)
-                else []
-            )
-            entries = update_baseline(result.findings, existing)
-            write_baseline(args.baseline, entries)
-            print(
-                f"baseline {args.baseline}: {len(entries)} entr"
-                f"{'y' if len(entries) == 1 else 'ies'} written",
-                file=out,
-            )
-            return 0
-    except (LintError, LintConfigError, BaselineError) as error:
+        result = run_lint(args.paths, rule_ids=args.rule)
+    except (LintError, LintConfigError) as error:
         print(f"error: {error}", file=out)
         return 2
     if args.format == "json":

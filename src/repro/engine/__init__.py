@@ -15,13 +15,11 @@ from repro.engine.delta import (
     TOPIC_CORE,
     TOPIC_DOMINANCE,
     TOPIC_EQUIVALENCE_CLASSES,
-    TOPIC_VIEWS,
     VIEW_REPORT_PREFIX,
     CatalogDelta,
     CatalogSnapshot,
     QuotientMatrix,
     classes_from_matrix,
-    coalesce_deltas,
     compute_delta,
     core_from_matrix,
     fold_classes,
@@ -39,10 +37,8 @@ __all__ = [
     "TOPIC_CORE",
     "TOPIC_DOMINANCE",
     "TOPIC_EQUIVALENCE_CLASSES",
-    "TOPIC_VIEWS",
     "VIEW_REPORT_PREFIX",
     "classes_from_matrix",
-    "coalesce_deltas",
     "compute_delta",
     "core_from_matrix",
     "fold_classes",

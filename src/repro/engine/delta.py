@@ -15,17 +15,15 @@ that changed set:
   is what :func:`repro.service.verify_subscriptions` checks bit for bit
   against fresh serial analyzers.
 * :class:`CatalogSnapshot` — the full per-version state (core, equivalence
-  classes, dominance matrix); the payload of a subscription *resync* and the
-  version-0 base every delta fold starts from.
+  classes, dominance matrix); the payload of every subscription *resync*,
+  a lagging subscriber's catch-up included, and the version-0 base every
+  delta fold starts from.
 * :class:`QuotientMatrix` — how a catalog version holds its dominance
   matrix: the partition of its names into classes whose members share every
   row and column, and the table between the class heads.  Equal query
   capacity is an equivalence relation and dominance a preorder on its
   classes (Theorem 1.5.2), so this is the whole matrix in O(N + C²) for C
   classes; a cell is computed when it is looked up.
-* :func:`coalesce_deltas` — a run of consecutive deltas combined into one,
-  the catch-up payload a reconnecting subscriber folds instead of replaying
-  every intermediate version.
 
 The delta computer reads one :class:`CatalogSnapshot` per analyzer.  The
 core and class fields are set differences between the two; the dominance
@@ -60,10 +58,8 @@ __all__ = [
     "TOPIC_CORE",
     "TOPIC_DOMINANCE",
     "TOPIC_EQUIVALENCE_CLASSES",
-    "TOPIC_VIEWS",
     "VIEW_REPORT_PREFIX",
     "classes_from_matrix",
-    "coalesce_deltas",
     "compute_delta",
     "core_from_matrix",
     "fold_classes",
@@ -83,12 +79,6 @@ TOPIC_EQUIVALENCE_CLASSES = "equivalence_classes"
 
 #: Subscription topic: dominance edges set, flipped or removed.
 TOPIC_DOMINANCE = "dominance"
-
-#: Subscription topic: any view added, replaced or dropped — the whole edit
-#: feed, without naming views up front the way ``view_report:<name>`` does.
-#: This is what a consumer tracking *every* catalog mutation (a replica apply
-#: loop, say) subscribes to.
-TOPIC_VIEWS = "views"
 
 #: Subscription topic prefix: ``view_report:<name>`` fires when the named
 #: view itself is added, replaced or dropped (a per-view report depends only
@@ -350,8 +340,6 @@ class CatalogDelta:
             touched.add(TOPIC_EQUIVALENCE_CLASSES)
         if self.edges_set or self.edges_removed:
             touched.add(TOPIC_DOMINANCE)
-        if self.views_added or self.views_dropped or self.views_replaced:
-            touched.add(TOPIC_VIEWS)
         for name in self.views_added + self.views_dropped + self.views_replaced:
             touched.add(VIEW_REPORT_PREFIX + name)
         return frozenset(touched)
@@ -554,12 +542,10 @@ def fold_classes(
 def fold_matrix(matrix: Mapping[Pair, bool], delta: CatalogDelta) -> Dict[Pair, bool]:
     """``matrix`` advanced one version: removed pairs out, set pairs (re)written.
 
-    Removals of pairs absent from ``matrix`` are no-ops, so folding a
-    *coalesced* delta — where a view may have been added and dropped inside
-    the window, removing pairs the start state never had — stays
-    well-defined.  Correctness is still fully checked: the verifier compares
-    the folded matrix against a fresh analyzer's, so an incomplete delta
-    cannot fold to the right answer by accident.
+    Removals of pairs absent from ``matrix`` are no-ops rather than errors:
+    a corrupt delta folds to a wrong matrix, which the verifier reports by
+    comparing it with a fresh analyzer's, so an incomplete delta cannot
+    fold to the right answer by accident.
     """
 
     folded = dict(matrix)
@@ -567,83 +553,3 @@ def fold_matrix(matrix: Mapping[Pair, bool], delta: CatalogDelta) -> Dict[Pair, 
         folded.pop(pair, None)
     folded.update(delta.edges_set)
     return folded
-
-
-def coalesce_deltas(deltas: Sequence[CatalogDelta]) -> CatalogDelta:
-    """A run of consecutive deltas combined into one equivalent step.
-
-    Folding the coalesced delta over the state *before the first* delta
-    lands on the state *after the last* — the catch-up payload of a
-    subscriber reconnecting several versions behind.  Field-wise the
-    combination is the fold composition: later edge writes win, a core
-    member that entered and left nets out, a class formed and dissolved
-    inside the window disappears.
-    """
-
-    if not deltas:
-        raise ValueError("coalesce_deltas needs at least one delta")
-    added: set = set()
-    dropped: set = set()
-    replaced: set = set()
-    entered: set = set()
-    left: set = set()
-    formed: set = set()
-    dissolved: set = set()
-    edges_set: Dict[Pair, bool] = {}
-    edges_removed: set = set()
-    for delta in deltas:
-        for name in delta.views_dropped:
-            if name in added:
-                added.discard(name)
-            else:
-                dropped.add(name)
-            replaced.discard(name)
-        for name in delta.views_added:
-            if name in dropped:
-                # Existed at the window start, dropped, now back — possibly
-                # different, so the net effect is a replacement.
-                dropped.discard(name)
-                replaced.add(name)
-            else:
-                added.add(name)
-        for name in delta.views_replaced:
-            if name not in added:
-                replaced.add(name)
-        for name in delta.core_left:
-            if name in entered:
-                entered.discard(name)
-            else:
-                left.add(name)
-        for name in delta.core_entered:
-            if name in left:
-                left.discard(name)
-            else:
-                entered.add(name)
-        for members in delta.classes_dissolved:
-            if members in formed:
-                formed.discard(members)
-            else:
-                dissolved.add(members)
-        for members in delta.classes_formed:
-            if members in dissolved:
-                dissolved.discard(members)
-            else:
-                formed.add(members)
-        for pair in delta.edges_removed:
-            edges_set.pop(pair, None)
-            edges_removed.add(pair)
-        for pair, holds in delta.edges_set.items():
-            edges_set[pair] = holds
-            edges_removed.discard(pair)
-    return CatalogDelta(
-        version=deltas[-1].version,
-        views_added=tuple(sorted(added)),
-        views_dropped=tuple(sorted(dropped)),
-        views_replaced=tuple(sorted(replaced)),
-        core_entered=tuple(sorted(entered)),
-        core_left=tuple(sorted(left)),
-        classes_formed=tuple(sorted(formed, key=lambda m: m[0])),
-        classes_dissolved=tuple(sorted(dissolved, key=lambda m: m[0])),
-        edges_set=edges_set,
-        edges_removed=tuple(sorted(edges_removed)),
-    )

@@ -23,8 +23,8 @@ that the ROADMAP's "heavy traffic" north star calls for:
 * :class:`~repro.service.subscriptions.SubscriptionHub` /
   :class:`~repro.service.subscriptions.Subscription` — the streaming layer:
   per-edit :class:`~repro.engine.CatalogDelta` pushes to topic subscribers
-  with bounded queues, snapshot resyncs for laggards and coalesced catch-up
-  on reconnect; :func:`verify_subscriptions` folds every delta over the
+  with bounded queues and snapshot resyncs for laggards and for reconnects
+  behind the current version; :func:`verify_subscriptions` folds every delta over the
   version-0 snapshot and demands bit-identity with fresh serial analyzers.
 * :class:`~repro.service.admission.AdmissionController` — the conformal
   admission gate: an online per-request-class service-time model wrapped in

@@ -705,7 +705,7 @@ def verify_subscriptions(
             if event.type != EVENT_DELTA:
                 continue
             delta = event.delta
-            if not event.catch_up and not delta.matches(topics):
+            if not delta.matches(topics):
                 mismatches.append(
                     {
                         "subscriber": index,
@@ -747,22 +747,6 @@ def verify_subscriptions(
 
 
 # ----------------------------------------------------------- crash recovery
-class _Fault:
-    """A local write-fault spec (duck-compatible with ``workloads.IoFault``).
-
-    Kept service-side so this module injects faults without importing the
-    workloads layer; callers with richer schedules pass
-    :class:`repro.workloads.IoFault` objects instead — the journal's
-    :class:`FaultyFile` accepts either.
-    """
-
-    def __init__(self, kind, write_index, partial_fraction=0.5, persistent=False):
-        self.kind = kind
-        self.write_index = write_index
-        self.partial_fraction = partial_fraction
-        self.persistent = persistent
-
-
 def _journaled_run(catalog, events, limits, journal, jobs=1):
     """Drive ``events`` through a journaled service; no answer verification."""
 
@@ -866,6 +850,8 @@ def verify_recovery(
     """
 
     from repro.perf.cache import clear_caches
+    # Imported here so that ``import repro`` loads no workloads module.
+    from repro.workloads import IoFault
 
     rng = random.Random(seed)
     workdir = workdir or tempfile.mkdtemp(prefix="repro-recovery-")
@@ -971,11 +957,11 @@ def verify_recovery(
     if final_version >= 1:
         ordinal = rng.randint(1, final_version)
         lanes = (
-            ("torn", _Fault("torn", ordinal, rng.uniform(0.1, 0.9)), ordinal - 1),
-            ("eio_transient", _Fault("eio", ordinal), final_version),
+            ("torn", IoFault("torn", ordinal, rng.uniform(0.1, 0.9)), ordinal - 1),
+            ("eio_transient", IoFault("eio", ordinal), final_version),
             (
                 "enospc_persistent",
-                _Fault("enospc", ordinal, persistent=True),
+                IoFault("enospc", ordinal, persistent=True),
                 ordinal - 1,
             ),
         )

@@ -74,10 +74,9 @@ Design:
   each version), and the dispatcher journals it, commits, and pushes the
   versioned :class:`~repro.engine.CatalogDelta` to every matching
   subscriber.  Slow subscribers are resynced with a fresh snapshot, never
-  silently dropped; reconnects catch up from the retained delta log
-  (:mod:`repro.service.subscriptions` documents the delivery contract).
-  ``history_window`` bounds the delta log for long-lived serving;
-  catch-up past the window triggers a snapshot resync.
+  silently dropped; a reconnect behind the current version catches up
+  with one snapshot resync of it (:mod:`repro.service.subscriptions`
+  documents the delivery contract).
 """
 
 from __future__ import annotations
@@ -251,12 +250,6 @@ class CatalogService:
         priority/submission order, the PR-3 baseline).
     policy:
         The deadline-to-budget mapping (:class:`DeadlinePolicy`).
-    history_window:
-        Retain only the deltas of the most recent ``history_window``
-        catalog versions in the subscription delta log (``None``, the
-        default, retains everything — what fold verification needs).  A
-        subscriber catching up from a version already evicted gets a
-        snapshot resync instead of a delta catch-up.
     journal:
         An optional :class:`~repro.service.journal.DeltaJournal`.  The
         base snapshot is written at :meth:`start`; every committed edit is
@@ -319,7 +312,6 @@ class CatalogService:
         queue_limit: int = 64,
         scheduler: str = "edf",
         policy: DeadlinePolicy = DeadlinePolicy(),
-        history_window: Optional[int] = None,
         journal: Optional[DeltaJournal] = None,
         admission: str = "off",
         coverage: float = 0.9,
@@ -352,9 +344,9 @@ class CatalogService:
         self._policy = policy
         self._clock = clock
         self._version = 0
-        # The hub validates the window (>= 1); deltas are published to it
-        # inline by the edit path after every commit.
-        self._hub = SubscriptionHub(window=history_window)
+        # Deltas are published to the hub inline by the edit path after
+        # every commit.
+        self._hub = SubscriptionHub()
         # Lifecycle state, created in start().
         self._sched: Optional[AdmissionScheduler] = None
         self._executor: Optional[ThreadPoolExecutor] = None
@@ -532,13 +524,13 @@ class CatalogService:
         """Register a topic subscriber; deltas push after every edit commit.
 
         ``topics`` is an iterable over ``"core"``, ``"equivalence_classes"``,
-        ``"dominance"``, ``"views"`` (any view added/replaced/dropped) and
-        ``"view_report:<name>"``; ``buffer`` bounds the
+        ``"dominance"`` and ``"view_report:<name>"``; ``buffer`` bounds the
         per-subscriber queue (overflow supersedes pending deltas with one
         snapshot resync); ``from_version`` catches a reconnecting subscriber
-        up — one coalesced delta while the retained log covers the gap, a
-        snapshot resync past the window.  Must be called from the event-loop
-        thread (the queue is loop-confined).
+        up — below the current version it starts with one snapshot resync
+        of the current version, which shares the version's kept quotient.
+        Must be called from the event-loop thread (the queue is
+        loop-confined).
         """
 
         return self._hub.subscribe(
@@ -555,11 +547,10 @@ class CatalogService:
         self._hub.unsubscribe(subscription)
 
     def delta_log(self) -> Dict[int, CatalogDelta]:
-        """The retained ``{version: CatalogDelta}`` log (a copy).
+        """Every committed edit's delta, as a ``{version: CatalogDelta}`` copy.
 
-        Unbounded by default; ``history_window`` bounds it.  The replay
-        verifier folds this log over the version-0 snapshot and demands
-        bit-identity with fresh serial analyzers at every version.
+        The replay verifier folds this log over the version-0 snapshot and
+        demands bit-identity with fresh serial analyzers at every version.
         """
 
         return self._hub.delta_log()

@@ -15,7 +15,6 @@ Topics
 * ``"core"`` — nonredundant-core membership changes;
 * ``"equivalence_classes"`` — classes forming/dissolving (splits, merges);
 * ``"dominance"`` — dominance edges set, flipped or removed;
-* ``"views"`` — any view added/replaced/dropped (the whole edit feed);
 * ``"view_report:<name>"`` — the named view itself added/replaced/dropped.
 
 A delta is delivered to a subscriber iff it touches one of the subscriber's
@@ -36,11 +35,10 @@ never blocks on a slow subscriber and never silently discards a delta:
   :func:`repro.service.replay.verify_subscriptions`) proves nothing was
   dropped on the floor.
 * a subscriber reconnecting at an older version asks for
-  ``from_version=N``: if the hub's retained delta log still covers
-  ``N+1..current`` it receives one **coalesced** catch-up delta
-  (:func:`repro.engine.coalesce_deltas`); past the retention window
-  (``CatalogService(history_window=…)``) it receives a snapshot resync
-  instead — again explicit, never a gap.
+  ``from_version=N``: below the current version it starts with one
+  snapshot resync of the current version — again explicit, never a gap.
+  The service's snapshot shares the version's kept class quotient
+  (O(N + C²) for C classes), so a catch-up builds nothing.
 * :meth:`SubscriptionHub.close` delivers a terminal ``closed`` event to
   every subscriber, so ``async for`` consumers terminate cleanly.
 
@@ -69,11 +67,9 @@ from repro.engine.delta import (
     TOPIC_CORE,
     TOPIC_DOMINANCE,
     TOPIC_EQUIVALENCE_CLASSES,
-    TOPIC_VIEWS,
     VIEW_REPORT_PREFIX,
     CatalogDelta,
     CatalogSnapshot,
-    coalesce_deltas,
 )
 from repro.service.requests import ServiceError
 
@@ -91,7 +87,7 @@ __all__ = [
 EVENT_DELTA = "delta"
 
 #: Event type: a full snapshot the subscriber must re-anchor on (its queued
-#: deltas were superseded, or its catch-up window was already evicted).
+#: deltas were superseded, or it subscribed behind the current version).
 EVENT_RESYNC = "resync"
 
 #: Event type: the subscription (or the whole service) closed; terminal.
@@ -102,14 +98,7 @@ EVENT_CLOSED = "closed"
 DEFAULT_BUFFER = 64
 
 #: The catalog-level topics (``view_report:<name>`` is the per-view family).
-#: ``views`` fires on any view added/replaced/dropped — the whole edit feed,
-#: what an internal consumer (the cache warmer, a replica apply loop) wants.
-CATALOG_TOPICS = (
-    TOPIC_CORE,
-    TOPIC_EQUIVALENCE_CLASSES,
-    TOPIC_DOMINANCE,
-    TOPIC_VIEWS,
-)
+CATALOG_TOPICS = (TOPIC_CORE, TOPIC_EQUIVALENCE_CLASSES, TOPIC_DOMINANCE)
 
 
 def validate_topics(topics: Iterable[str]) -> FrozenSet[str]:
@@ -141,16 +130,14 @@ class SubscriptionEvent:
     """One pushed event: a delta to fold, a snapshot to re-anchor on, or EOF.
 
     ``version`` is the catalog version the subscriber's state is at *after*
-    handling the event.  ``catch_up`` marks the coalesced reconnect delta
-    (one event covering several versions).  ``reason`` explains resyncs and
-    closes in operator-readable text.
+    handling the event.  ``reason`` explains resyncs and closes in
+    operator-readable text.
     """
 
     type: str
     version: int
     delta: Optional[CatalogDelta] = None
     snapshot: Optional[CatalogSnapshot] = None
-    catch_up: bool = False
     reason: str = ""
 
     def to_dict(self) -> Dict[str, object]:
@@ -161,7 +148,6 @@ class SubscriptionEvent:
             "version": self.version,
             "delta": None if self.delta is None else self.delta.to_dict(),
             "snapshot": None if self.snapshot is None else self.snapshot.to_dict(),
-            "catch_up": self.catch_up,
             "reason": self.reason,
         }
 
@@ -182,8 +168,8 @@ class Subscription:
     this subscription was live; each one was either ``delivered`` (enqueued)
     or ``filtered`` (topic mismatch).  ``superseded`` counts delivered delta
     events later cleared by an overflow resync.  ``consumed`` and the
-    ledger's ``pending`` count *live delta events only* (catch-up, resync
-    and closed events are outside the published ledger), so
+    ledger's ``pending`` count *delta events only* (resync and closed
+    events are outside the published ledger), so
     ``delivered == consumed + pending + superseded`` always holds — with
     events still queued too, not just after a drain — and any shortfall is
     a dropped event.
@@ -204,20 +190,18 @@ class Subscription:
         self.filtered = 0
         self.superseded = 0
         # Resyncs total plus one counter per cause: an overflow supersede
-        # (the buffer filled), a catch-up past the retained window (the
-        # requested versions were evicted), or a forced re-anchor (the
-        # service's publish of a committed delta failed).  The causes
-        # always sum to the total.
+        # (the buffer filled), a catch-up (it subscribed behind the current
+        # version), or a forced re-anchor (the service's publish of a
+        # committed delta failed).  The causes always sum to the total.
         self.resyncs = 0
         self.resyncs_overflow = 0
         self.resyncs_catchup = 0
         self.resyncs_forced = 0
         self.consumed = 0
-        self.catchup_deltas = 0
         self.last_version: Optional[int] = None
-        # Live delta events currently queued — the ledger's "pending" term
-        # (qsize() also counts catch-up/resync/closed events, which are
-        # outside the published-delta ledger and would fake a drop).
+        # Delta events currently queued — the ledger's "pending" term
+        # (qsize() also counts resync/closed events, which are outside the
+        # published-delta ledger and would fake a drop).
         self._pending_deltas = 0
 
     # ------------------------------------------------------------ properties
@@ -277,7 +261,7 @@ class Subscription:
                 return events
 
     def _count_consumed(self, event: SubscriptionEvent) -> None:
-        if event.type == EVENT_DELTA and not event.catch_up:
+        if event.type == EVENT_DELTA:
             self.consumed += 1
             self._pending_deltas -= 1
 
@@ -293,12 +277,12 @@ class Subscription:
     # ----------------------------------------------------------- hub's side
     def _enqueue(self, event: SubscriptionEvent) -> None:
         self._queue.put_nowait(event)
-        if event.type == EVENT_DELTA and not event.catch_up:
+        if event.type == EVENT_DELTA:
             self._pending_deltas += 1
         self.last_version = event.version
 
     def _clear_pending(self) -> int:
-        """Remove queued events; returns how many live deltas were superseded."""
+        """Remove queued events; returns how many deltas were superseded."""
 
         cleared = 0
         while True:
@@ -307,13 +291,13 @@ class Subscription:
             except asyncio.QueueEmpty:
                 self._pending_deltas -= cleared
                 return cleared
-            if event.type == EVENT_DELTA and not event.catch_up:
+            if event.type == EVENT_DELTA:
                 cleared += 1
 
     def stats(self) -> Dict[str, int]:
         """The delivery ledger: published_seen/delivered/filtered/superseded/…
 
-        ``pending`` counts queued *live delta* events (the ledger term);
+        ``pending`` counts queued *delta* events (the ledger term);
         :attr:`pending` the property counts every queued event (the buffer
         term).
         """
@@ -330,7 +314,6 @@ class Subscription:
             "resyncs_forced": self.resyncs_forced,
             "consumed": self.consumed,
             "pending": self._pending_deltas,
-            "catchup_deltas": self.catchup_deltas,
             "buffer": self._buffer,
         }
 
@@ -340,15 +323,11 @@ class SubscriptionHub:
 
     Owned by :class:`repro.service.CatalogService`; the service publishes
     one delta after each committed edit and the hub routes it.  The hub also
-    retains a per-version delta log (bounded by ``window`` versions,
-    unbounded when ``None``) that serves coalesced catch-up for
-    reconnecting subscribers and the replay verifier's full fold.
+    keeps every published delta, by version: the log the replay verifier
+    and the benchmark fold over the version-0 snapshot.
     """
 
-    def __init__(self, window: Optional[int] = None) -> None:
-        if window is not None and window < 1:
-            raise ServiceError(f"history window must be >= 1, got {window}")
-        self._window = None if window is None else int(window)
+    def __init__(self) -> None:
         self._subs: Dict[int, Subscription] = {}
         self._log: Dict[int, CatalogDelta] = {}
         self._ids = itertools.count()
@@ -369,14 +348,8 @@ class SubscriptionHub:
 
         return len(self._subs)
 
-    @property
-    def window(self) -> Optional[int]:
-        """Delta-log retention in versions (``None`` = unbounded)."""
-
-        return self._window
-
     def delta_log(self) -> Dict[int, CatalogDelta]:
-        """The retained ``{version: delta}`` log (a copy)."""
+        """Every published delta as a ``{version: delta}`` log (a copy)."""
 
         return dict(self._log)
 
@@ -393,11 +366,10 @@ class SubscriptionHub:
 
         ``from_version`` is the catalog version the subscriber's state is
         currently at (e.g. the version it last saw before disconnecting).
-        If the retained delta log still covers ``from_version+1 ..
-        current_version``, the subscription starts with one coalesced
-        catch-up delta; otherwise (evicted by the retention window) it
-        starts with a snapshot resync.  ``None`` starts live at the current
-        version with no catch-up.
+        Below ``current_version`` the subscription starts with one snapshot
+        resync of the current version, built by ``snapshot_fn``; at it, or
+        ``None``, the subscription starts live with no catch-up.  A
+        version past ``current_version`` is refused.
         """
 
         if self._closed:
@@ -409,52 +381,23 @@ class SubscriptionHub:
             )
         sub = Subscription(next(self._ids), normalised, buffer=buffer)
         if from_version is not None and from_version < current_version:
-            missing = [
-                v
-                for v in range(from_version + 1, current_version + 1)
-                if v not in self._log
-            ]
-            if missing:
-                if snapshot_fn is None:
-                    raise ServiceError(
-                        "catch-up needs a snapshot provider for evicted versions"
-                    )
-                sub._enqueue(
-                    SubscriptionEvent(
-                        type=EVENT_RESYNC,
-                        version=current_version,
-                        snapshot=snapshot_fn(),
-                        reason=(
-                            f"catch-up from version {from_version} is past the "
-                            f"retention window (versions {missing[0]}..."
-                            f"{missing[-1]} evicted); re-anchor on a snapshot"
-                        ),
-                    )
+            if snapshot_fn is None:
+                raise ServiceError("catch-up needs a snapshot provider")
+            sub._enqueue(
+                SubscriptionEvent(
+                    type=EVENT_RESYNC,
+                    version=current_version,
+                    snapshot=snapshot_fn(),
+                    reason=(
+                        f"catch-up from version {from_version}: re-anchor on "
+                        f"a snapshot of version {current_version}"
+                    ),
                 )
-                sub.resyncs += 1
-                sub.resyncs_catchup += 1
-                self.resyncs += 1
-                self.resyncs_catchup += 1
-            else:
-                deltas = [
-                    self._log[v]
-                    for v in range(from_version + 1, current_version + 1)
-                ]
-                relevant = [d for d in deltas if d.matches(normalised)]
-                sub.catchup_deltas = len(relevant)
-                if relevant:
-                    sub._enqueue(
-                        SubscriptionEvent(
-                            type=EVENT_DELTA,
-                            version=current_version,
-                            delta=coalesce_deltas(relevant),
-                            catch_up=True,
-                            reason=(
-                                f"coalesced catch-up over "
-                                f"{len(relevant)} retained delta(s)"
-                            ),
-                        )
-                    )
+            )
+            sub.resyncs += 1
+            sub.resyncs_catchup += 1
+            self.resyncs += 1
+            self.resyncs_catchup += 1
         self._subs[sub.id] = sub
         return sub
 
@@ -479,10 +422,6 @@ class SubscriptionHub:
         """
 
         self._log[delta.version] = delta
-        # Keep the deltas of the last ``window`` versions only.
-        if self._window is not None:
-            for version in [v for v in self._log if v <= delta.version - self._window]:
-                del self._log[version]
         self.published += 1
         # One topic derivation per publish, not one per subscriber.
         delta_topics = delta.topics()
@@ -580,8 +519,8 @@ class SubscriptionHub:
         """Hub-level counters: published/delivered/filtered/resyncs/superseded.
 
         Resyncs are reported per cause — ``resyncs_overflow`` (a full
-        buffer superseded pending deltas), ``resyncs_catchup`` (a reconnect
-        asked for versions past the retained window) and ``resyncs_forced``
+        buffer superseded pending deltas), ``resyncs_catchup`` (a subscriber
+        joined behind the current version) and ``resyncs_forced``
         (publishing a committed delta failed) — and the causes sum to
         ``resyncs``.
         """

@@ -423,12 +423,12 @@ def overload_mix(
 
 
 # ------------------------------------------------------------ fault injection
-#: The injectable fault kinds of a crash/IO-fault schedule.  ``torn`` and
-#: the errno kinds fire *during* a write (consumed by
-#: :class:`repro.service.journal.FaultyFile`); ``bitflip`` is at-rest
-#: damage applied to an already-written record (consumed by the recovery
-#: harness via :func:`repro.service.journal.flip_bit`).
-FAULT_KINDS = ("torn", "bitflip", "eio", "enospc")
+#: The injectable fault kinds of a crash/IO-fault schedule.  Each fires
+#: *during* a record write, consumed by
+#: :class:`repro.service.journal.FaultyFile`.  At-rest damage is not a
+#: schedule kind: the recovery harness flips bits of a written journal
+#: directly with :func:`repro.service.journal.flip_bit`.
+FAULT_KINDS = ("torn", "eio", "enospc")
 
 
 @dataclass(frozen=True)
@@ -440,9 +440,7 @@ class IoFault:
     (k+1)-th record).  For ``torn``, ``partial_fraction`` of the record's
     bytes reach the file before the simulated process death; for ``eio`` /
     ``enospc``, ``persistent`` decides whether the error clears (one
-    retryable failure) or never does (degraded journal_lagging mode).  For
-    ``bitflip``, ``write_index`` names the record to damage at rest and
-    ``partial_fraction`` locates the flipped byte within it.
+    retryable failure) or never does (degraded journal_lagging mode).
     """
 
     kind: str
@@ -494,14 +492,14 @@ def fault_schedule(
     records: int,
     faults: int = 3,
     seed: int = 0,
-    kinds: tuple = ("torn", "eio", "enospc"),
+    kinds: tuple = FAULT_KINDS,
     persistent_fraction: float = 0.25,
 ) -> List[IoFault]:
     """A seeded :class:`IoFault` schedule over a ``records``-long journal.
 
     Draws ``faults`` distinct record ordinals in ``[1, records]`` (ordinal
     0 — the base snapshot — is left intact so recovery always has an
-    anchor) with seeded kinds from ``kinds``, seeded torn/bit-flip
+    anchor) with seeded kinds from ``kinds``, seeded torn-write
     positions, and a ``persistent_fraction`` chance that an errno fault
     never clears.
     """

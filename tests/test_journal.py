@@ -37,7 +37,7 @@ from repro.engine import (
     classes_from_matrix,
     core_from_matrix,
 )
-from repro.exceptions import ReproError
+from repro.exceptions import ReproError, WorkloadError
 from repro.perf import caches_enabled, clear_caches, configure
 from repro.relalg import parse_expression
 from repro.relational import RelationName
@@ -57,6 +57,7 @@ from repro.service import (
 from repro.service.journal import _encode_record, catalog_text, view_text
 from repro.views import View
 from repro.workloads import (
+    FAULT_KINDS,
     IoFault,
     SchemaSpec,
     SubscriberSpec,
@@ -676,6 +677,17 @@ class TestFaultInjection:
         assert crashes == crash_schedule(edits=10, crashes=4, seed=1)
         assert 0 in crashes and 10 in crashes
 
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
+    def test_every_fault_kind_is_one_faulty_file_applies(self, kind, tmp_path):
+        with open(tmp_path / "f.bin", "wb") as handle:
+            with pytest.raises((SimulatedCrash, OSError)):
+                FaultyFile(handle, [IoFault(kind, 0)]).write(b"record\n")
+
+    def test_at_rest_damage_is_not_a_fault_kind(self):
+        # Bits of a written journal are flipped with flip_bit instead.
+        with pytest.raises(WorkloadError):
+            IoFault("bitflip", 1)
+
 
 class TestServiceIntegration:
     def make_traffic(self, seed=5, requests=40, edit_rate=0.3):
@@ -752,7 +764,7 @@ class TestServiceIntegration:
                 TrafficEvent(kind="view_report", subject=name),
                 TrafficEvent(kind="nonredundant_core"),
             ]
-        topics = ("core", "dominance", "equivalence_classes", "views") + tuple(
+        topics = ("core", "dominance", "equivalence_classes") + tuple(
             f"view_report:{name}" for name in replacements
         )
         path = str(tmp_path / "replaced.jsonl")

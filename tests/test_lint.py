@@ -1,18 +1,16 @@
 """The concurrency-invariant linter (``repro lint``).
 
-Four pillars, matching the engine's public contracts:
+Three pillars, matching the engine's public contracts:
 
 * suppression parsing — the directive grammar, mandatory reasons,
   standalone-vs-trailing targeting, and immunity of docstrings that merely
-  document the syntax;
-* baseline add / match / expire semantics, including the strict-mode
-  failure on stale entries and reason carry-forward on update;
+  document the syntax (an inline suppression is the one exemption);
 * the JSON report schema (CI archives it; the key sets are pinned);
 * one planted-fault fixture pair per shipped rule: the violating file
   fires, its minimally-fixed twin is clean under *every* rule.
 
 Plus the self-hosting property the CI lint job enforces: the repo's own
-``src`` + ``tests`` trees lint clean against the committed baseline.
+``src`` + ``tests`` trees lint clean under ``--strict``.
 """
 
 import io
@@ -23,25 +21,18 @@ import textwrap
 import pytest
 
 from repro.analysis import (
-    BaselineError,
-    Finding,
     LintConfigError,
     LintError,
     REPORT_SCHEMA_VERSION,
     SUPPRESS_RULE_ID,
     all_rules,
     iter_python_files,
-    load_baseline,
-    match_baseline,
     parse_suppressions,
     render_json,
     render_text,
     run_lint,
     select_rules,
-    update_baseline,
-    write_baseline,
 )
-from repro.analysis.baseline import PLACEHOLDER_REASON
 from repro.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "lint")
@@ -60,12 +51,6 @@ RULE_FIXTURES = {
 
 def _fixture(name):
     return os.path.join(FIXTURES, name)
-
-
-def _finding(rule="REPRO-CLOCK", path="src/x.py", message="msg", line=3, col=1):
-    return Finding(
-        path=path, line=line, col=col, rule_id=rule, severity="error", message=message
-    )
 
 
 # --------------------------------------------------------------------------
@@ -152,98 +137,6 @@ class TestSuppressions:
 
 
 # --------------------------------------------------------------------------
-# Baseline semantics
-# --------------------------------------------------------------------------
-class TestBaseline:
-    def test_match_splits_new_baselined_stale(self):
-        covered = _finding(message="grandfathered")
-        fresh = _finding(message="brand new")
-        entries = update_baseline([covered], [])
-        new, baselined, stale = match_baseline([covered, fresh], entries)
-        assert new == [fresh]
-        assert baselined == [covered]
-        assert stale == []
-
-    def test_stale_entry_reported_and_fatal_under_strict(self, tmp_path):
-        gone = _finding(message="fixed since")
-        path = tmp_path / "baseline.json"
-        entries = update_baseline([gone], [])
-        write_baseline(str(path), entries)
-        clean = tmp_path / "clean.py"
-        clean.write_text("x = 1\n")
-        result = run_lint([str(clean)], baseline_path=str(path), scoped=False)
-        assert not result.findings
-        assert len(result.stale_baseline) == 1
-        assert result.exit_status(strict=False) == 0
-        assert result.exit_status(strict=True) == 1
-
-    def test_update_carries_reasons_forward_and_stamps_placeholder(self):
-        old = _finding(message="kept")
-        entries = update_baseline([old], [])
-        assert entries[0].reason == PLACEHOLDER_REASON
-        justified = [
-            entry.__class__(**{**entry.__dict__, "reason": "threads not started yet"})
-            for entry in entries
-        ]
-        fresh = _finding(message="newly grandfathered")
-        merged = update_baseline([old, fresh], justified)
-        by_message = {entry.message: entry.reason for entry in merged}
-        assert by_message["kept"] == "threads not started yet"
-        assert by_message["newly grandfathered"] == PLACEHOLDER_REASON
-
-    def test_update_drops_expired_entries(self):
-        gone = _finding(message="fixed")
-        kept = _finding(message="still here")
-        entries = update_baseline([gone, kept], [])
-        merged = update_baseline([kept], entries)
-        assert [entry.message for entry in merged] == ["still here"]
-
-    def test_fingerprint_survives_line_drift(self):
-        here = _finding(line=3)
-        moved = _finding(line=77)
-        assert here.fingerprint == moved.fingerprint
-        entries = update_baseline([here], [])
-        new, baselined, stale = match_baseline([moved], entries)
-        assert not new and not stale and baselined == [moved]
-
-    def test_roundtrip_write_load(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        entries = update_baseline([_finding()], [])
-        write_baseline(str(path), entries)
-        assert load_baseline(str(path)) == entries
-
-    @pytest.mark.parametrize(
-        "payload",
-        [
-            "not json at all",
-            json.dumps([]),
-            json.dumps({"version": 99, "entries": []}),
-            json.dumps({"version": 1}),
-            json.dumps({"version": 1, "entries": [{"rule": "REPRO-CLOCK"}]}),
-            json.dumps(
-                {
-                    "version": 1,
-                    "entries": [
-                        {
-                            "fingerprint": "ab",
-                            "rule": "REPRO-CLOCK",
-                            "path": "x.py",
-                            "message": "m",
-                            "reason": "   ",
-                        }
-                    ],
-                }
-            ),
-        ],
-    )
-    def test_malformed_baseline_raises(self, tmp_path, payload):
-        path = tmp_path / "baseline.json"
-        path.write_text(payload)
-        with pytest.raises(BaselineError):
-            load_baseline(str(path))
-
-
-# --------------------------------------------------------------------------
 # JSON report schema (CI artifact — keys are a contract)
 # --------------------------------------------------------------------------
 class TestJsonSchema:
@@ -258,20 +151,16 @@ class TestJsonSchema:
             "summary",
             "findings",
             "suppressed",
-            "baselined",
-            "stale_baseline",
             "unused_suppressions",
             "rules",
         }
         assert report["schema_version"] == REPORT_SCHEMA_VERSION
         assert set(report["summary"]) == {
             "files_scanned",
-            "new",
+            "findings",
             "errors",
             "warnings",
             "suppressed",
-            "baselined",
-            "stale_baseline",
             "unused_suppressions",
         }
 
@@ -283,7 +172,6 @@ class TestJsonSchema:
         assert report["findings"], "fixture must produce findings"
         assert set(report["findings"][0]) == {
             "col",
-            "fingerprint",
             "line",
             "message",
             "path",
@@ -456,73 +344,20 @@ class TestLintCli:
         )
         payload = json.loads(out.getvalue())
         assert status == payload["exit_status"] == 1
-        assert payload["summary"]["new"] == 2
+        assert payload["summary"]["findings"] == 2
 
     def test_unknown_rule_exits_two(self):
         out = io.StringIO()
         assert main(["lint", "--rule", "NO-SUCH-RULE", "src"], out=out) == 2
         assert "unknown rule" in out.getvalue()
 
-    def test_bad_baseline_exits_two(self, tmp_path):
-        bad = tmp_path / "baseline.json"
-        bad.write_text("{")
-        out = io.StringIO()
-        assert (
-            main(["lint", _fixture("clock_good.py"), "--baseline", str(bad)], out=out)
-            == 2
-        )
-
-    def test_update_baseline_grandfathers_then_matches(self, tmp_path):
-        # REPRO-CLOCK is unscoped, so the fixture fires through the scoped
-        # CLI path too (the explicit file path bypasses the fixtures-skip).
-        baseline = tmp_path / "baseline.json"
-        fixture = _fixture("clock_bad.py")
-        out = io.StringIO()
-        assert (
-            main(["lint", fixture, "--rule", "REPRO-CLOCK"], out=out) == 1
-        ), "fixture must fire before grandfathering"
-        out = io.StringIO()
-        status = main(
-            [
-                "lint",
-                fixture,
-                "--rule",
-                "REPRO-CLOCK",
-                "--baseline",
-                str(baseline),
-                "--update-baseline",
-            ],
-            out=out,
-        )
-        assert status == 0 and baseline.exists()
-        entries = load_baseline(str(baseline))
-        assert len(entries) == 2
-        assert all(entry.reason == PLACEHOLDER_REASON for entry in entries)
-        assert json.loads(baseline.read_text())["version"] == 1
-        out = io.StringIO()
-        status = main(
-            ["lint", fixture, "--rule", "REPRO-CLOCK", "--baseline", str(baseline)],
-            out=out,
-        )
-        assert status == 0, out.getvalue()
-        assert "2 baselined" in out.getvalue()
-
-    def test_update_baseline_requires_baseline(self):
-        out = io.StringIO()
-        assert main(["lint", "--update-baseline", "src"], out=out) == 2
-
 
 # --------------------------------------------------------------------------
 # Self-hosting: the stack passes its own linter
 # --------------------------------------------------------------------------
 class TestSelfHosted:
-    def test_src_and_tests_lint_clean_against_committed_baseline(self):
-        result = run_lint(["src", "tests"], baseline_path="lint_baseline.json")
+    def test_src_and_tests_lint_clean(self):
+        result = run_lint(["src", "tests"])
         problems = [f.location + " " + f.rule_id for f in result.findings]
         assert result.exit_status(strict=True) == 0, "; ".join(problems)
         assert result.files_scanned >= 100
-
-    def test_committed_baseline_is_currently_empty(self):
-        # The PR's target: no grandfathered findings.  If a future change
-        # must baseline something, this pin makes the reviewer see it.
-        assert load_baseline("lint_baseline.json") == []

@@ -3,16 +3,15 @@
 The contract under test, mirroring :mod:`repro.service.subscriptions` and
 :mod:`repro.engine.delta`:
 
-* a :class:`CatalogDelta` is *foldable*: applying it (and any coalesced run
-  of them) to the previous version's state reconstructs the next version's
-  core, equivalence classes and dominance matrix bit-identically — for
-  random seeded edit sequences too (the Hypothesis property);
+* a :class:`CatalogDelta` is *foldable*: applying it to the previous
+  version's state reconstructs the next version's core, equivalence
+  classes and dominance matrix bit-identically — for random seeded edit
+  sequences too (the Hypothesis property);
 * the hub filters by topic, never blocks on and never silently drops for a
   slow subscriber — overflow supersedes pending deltas with one snapshot
   resync, and the delivery ledger always balances;
-* reconnecting subscribers catch up with one coalesced delta while the
-  retained log covers the gap and a snapshot resync past the
-  ``history_window``;
+* a subscriber behind the current version catches up with exactly one
+  snapshot resync of it, sharing the version's kept quotient;
 * the service pushes one delta per committed edit (failed edits push
   nothing), versions are consecutive and the metrics snapshot surfaces the
   subscription counters.
@@ -28,7 +27,6 @@ from repro.engine import (
     CatalogAnalyzer,
     CatalogDelta,
     CatalogSnapshot,
-    coalesce_deltas,
     classes_from_matrix,
     core_from_matrix,
     fold_classes,
@@ -185,24 +183,6 @@ class TestEngineDelta:
         ]
         views3 = v3.views
         assert folded_equals_fresh(v0, deltas, CatalogAnalyzer(views3))
-        # And the coalesced single step folds to the same final state.
-        assert folded_equals_fresh(
-            v0, [coalesce_deltas(deltas)], CatalogAnalyzer(views3)
-        )
-
-    def test_coalesce_nets_out_add_then_drop(self, small_catalog, weak_view):
-        v0 = CatalogAnalyzer(small_catalog)
-        v1 = v0.with_view("Zextra", weak_view)
-        v2 = v1.without_view("Zextra")
-        coalesced = coalesce_deltas(
-            [v1.diff(v0, version=1), v2.diff(v1, version=2)]
-        )
-        assert coalesced.version == 2
-        assert coalesced.views_added == ()
-        assert coalesced.views_dropped == ()
-        assert "Zextra" not in {n for pair in coalesced.edges_set for n in pair}
-        with pytest.raises(ValueError):
-            coalesce_deltas([])
 
     def test_topics_and_matching(self):
         delta = CatalogDelta(
@@ -220,6 +200,8 @@ class TestEngineDelta:
         assert delta.matches({"view_report:New", "equivalence_classes"})
         assert not delta.matches({"view_report:Old"})
         assert not delta.matches({"equivalence_classes"})
+        # No catalog-wide edit-feed topic: a view edit is its view_report.
+        assert topics == {"core", "dominance", "view_report:New"}
 
     def test_snapshot_matches_analyzer_state(self, small_catalog):
         analyzer = CatalogAnalyzer(small_catalog)
@@ -265,7 +247,7 @@ class TestTopicValidation:
         )
 
     @pytest.mark.parametrize(
-        "bad", [[], ["nope"], ["view_report:"], ["core", "Core"]]
+        "bad", [[], ["nope"], ["view_report:"], ["core", "Core"], ["views"]]
     )
     def test_invalid_topic_sets_refused(self, bad):
         with pytest.raises(ServiceError):
@@ -317,44 +299,47 @@ class TestHub:
         )
         assert stats["delivered"] + stats["filtered"] == stats["published_seen"]
 
-    def test_catchup_within_log_is_one_coalesced_delta(self):
+    def test_catchup_is_one_resync_of_the_current_version(self):
         hub = SubscriptionHub()
-        for version in (1, 2, 3):
-            hub.publish(self._delta(version), self._snapshot)
-        late = hub.subscribe(["core"], from_version=1, current_version=3)
-        event = late.get_nowait()
-        assert event.type == EVENT_DELTA and event.catch_up
-        assert event.version == 3
-        assert set(event.delta.core_entered) == {"V2", "V3"}
-        assert late.catchup_deltas == 2
-        fresh = hub.subscribe(["core"], from_version=3, current_version=3)
-        assert fresh.pending == 0
-
-    def test_catchup_past_window_resyncs(self):
-        hub = SubscriptionHub(window=2)
         for version in (1, 2, 3, 4, 5):
             hub.publish(self._delta(version), self._snapshot)
-        assert sorted(hub.delta_log()) == [4, 5]
-        late = hub.subscribe(
+        # The log keeps every version.
+        assert sorted(hub.delta_log()) == [1, 2, 3, 4, 5]
+        for from_version in (0, 3, 4):
+            late = hub.subscribe(
+                ["core"],
+                from_version=from_version,
+                current_version=5,
+                snapshot_fn=lambda: self._snapshot(5),
+            )
+            events = late.drain()
+            assert [(e.type, e.version) for e in events] == [(EVENT_RESYNC, 5)]
+            assert events[0].snapshot.version == 5
+            # The catch-up resync is attributed to its cause, not to overflow.
+            assert late.resyncs_catchup == 1 and late.resyncs_overflow == 0
+        current = hub.subscribe(
             ["core"],
-            from_version=1,
+            from_version=5,
             current_version=5,
             snapshot_fn=lambda: self._snapshot(5),
         )
-        event = late.get_nowait()
-        assert event.type == EVENT_RESYNC and event.version == 5
-        assert "retention window" in event.reason
-        # The catch-up resync is attributed to its cause, not to overflow.
-        assert late.resyncs_catchup == 1 and late.resyncs_overflow == 0
+        assert current.drain() == []
+        with pytest.raises(ServiceError):
+            hub.subscribe(
+                ["core"],
+                from_version=6,
+                current_version=5,
+                snapshot_fn=lambda: self._snapshot(5),
+            )
         stats = hub.stats()
-        assert stats["resyncs_catchup"] == 1
+        assert stats["resyncs_catchup"] == 3
         assert stats["resyncs_overflow"] == 0 and stats["resyncs_forced"] == 0
 
     def test_resync_causes_partition_the_total(self):
         """One counter per cause — overflow / catch-up / forced — and the
         causes always sum to ``resyncs``, on the hub and per subscription."""
 
-        hub = SubscriptionHub(window=2)
+        hub = SubscriptionHub()
         for version in (1, 2, 3, 4, 5):
             hub.publish(self._delta(version), lambda: self._snapshot(5))
         late = hub.subscribe(
@@ -368,7 +353,7 @@ class TestHub:
             hub.publish(self._delta(version), lambda: self._snapshot(7))
         hub.force_resync(lambda: self._snapshot(7), reason="delta failed")
         stats = hub.stats()
-        assert stats["resyncs_catchup"] == 1      # late joined past the window
+        assert stats["resyncs_catchup"] == 1      # late joined behind version 5
         assert stats["resyncs_overflow"] == 1     # slow overflowed at buffer=1
         assert stats["resyncs_forced"] == 2       # both subscribers re-anchored
         assert stats["resyncs"] == (
@@ -392,12 +377,17 @@ class TestHub:
             )
 
     def test_ledger_balances_with_events_still_queued(self):
-        # The invariant must hold *before* any drain, and catch-up/resync
-        # events — outside the published ledger — must not fake a drop.
+        # The invariant must hold *before* any drain, and resync events —
+        # outside the published ledger — must not fake a drop.
         hub = SubscriptionHub()
         for version in (1, 2):
             hub.publish(self._delta(version), self._snapshot)
-        late = hub.subscribe(["core"], from_version=0, current_version=2)
+        late = hub.subscribe(
+            ["core"],
+            from_version=0,
+            current_version=2,
+            snapshot_fn=lambda: self._snapshot(2),
+        )
         live = hub.subscribe(["core"], buffer=1)
         hub.publish(self._delta(3), self._snapshot)   # queued for both
         hub.publish(self._delta(4), lambda: self._snapshot(4))  # live overflows
@@ -408,7 +398,7 @@ class TestHub:
                 == stats["consumed"] + stats["pending"] + stats["superseded"]
             ), stats
             assert stats["delivered"] + stats["filtered"] == stats["published_seen"]
-        # late has one catch-up + two live deltas queued; only the live
+        # late has its catch-up resync + two live deltas queued; only the
         # deltas are ledger-pending.
         assert late.pending == 3 and late.stats()["pending"] == 2
         # live superseded both (the pending delta and the trigger).
@@ -420,8 +410,6 @@ class TestHub:
             hub.subscribe(["core"], buffer=0)
         with pytest.raises(ServiceError):
             hub.subscribe(["core"], from_version=3, current_version=1)
-        with pytest.raises(ServiceError):
-            SubscriptionHub(window=0)
 
     def test_unsubscribe_and_close_deliver_terminal_event(self):
         hub = SubscriptionHub()
@@ -565,30 +553,53 @@ class TestServiceIntegration:
         seen = run(main())
         assert len(seen) == 1 and seen[0].type == EVENT_DELTA
 
-    def test_history_window_bounds_the_delta_log(
-        self, small_catalog, weak_view, q_schema
+    def test_catchup_resyncs_on_the_kept_quotient_and_folds_on(
+        self, small_catalog, weak_view
     ):
         copy = small_catalog["Split"].renamed({"W1": "X1", "W2": "X2"})
+        topics = ("core", "dominance")
+        edits = [
+            ServiceRequest(kind="add_view", subject="Zextra", view=weak_view),
+            ServiceRequest(kind="drop_view", subject="Zextra"),
+            ServiceRequest(kind="add_view", subject="Zcopy", view=copy),
+            ServiceRequest(kind="drop_view", subject="Weak"),
+            ServiceRequest(kind="add_view", subject="Zweak", view=weak_view),
+        ]
 
         async def main():
-            async with CatalogService(small_catalog, history_window=2) as service:
-                await service.add_view("Zextra", weak_view)   # v1
-                await service.drop_view("Zextra")             # v2
-                await service.add_view("Zcopy", copy)         # v3
-                late = service.subscribe(["core"], from_version=0)
-                recent = service.subscribe(["core", "dominance"], from_version=2)
-                return service.delta_log(), late.drain(), recent.drain()
+            async with CatalogService(small_catalog) as service:
+                responses = [await service.submit(edit) for edit in edits[:3]]
+                late = service.subscribe(topics, from_version=1)
+                first = late.get_nowait()
+                kept = service.analyzer.dominance_matrix()
+                responses += [await service.submit(edit) for edit in edits[3:]]
+                return (
+                    responses, first, kept, late.drain(), late.stats(),
+                    service.delta_log(),
+                )
 
-        log, late_events, recent_events = run(main())
-        assert sorted(log) == [2, 3]
-        # Past the window: snapshot resync.  Inside it: coalesced catch-up
-        # (version 3 touched the core via the added copy? regardless, any
-        # relevant retained delta coalesces; no event at all is also legal
-        # when nothing matched the topics).
-        assert [e.type for e in late_events] == [EVENT_RESYNC]
-        assert late_events[0].version == 3
-        for event in recent_events:
-            assert event.type == EVENT_DELTA and event.catch_up
+        responses, first, kept, rest, stats, log = run(main())
+        assert [r.status for r in responses] == ["ok"] * len(edits)
+        assert first.type == EVENT_RESYNC and first.version == 3
+        # The resync shares the version's kept quotient: it builds nothing.
+        assert first.snapshot.dominance is kept
+        assert stats["resyncs_catchup"] == 1
+        assert [(e.type, e.version) for e in rest] == [
+            (EVENT_DELTA, 4),
+            (EVENT_DELTA, 5),
+        ]
+        # The log holds every version; the record that starts with the
+        # resync folds clean over the two later edits.
+        assert sorted(log) == [1, 2, 3, 4, 5]
+        history = replay_history(small_catalog, edits, responses)
+        verdict = verify_subscriptions(
+            history,
+            log,
+            [{"topics": topics, "events": [first] + rest, "stats": stats}],
+        )
+        assert verdict["mismatches"] == [] and verdict["silent_drops"] == 0
+        assert verdict["versions_checked"] == 5
+        assert verdict["events_checked"] == 3
 
     def test_subscribe_rejects_future_version(self, small_catalog):
         async def main():
