@@ -8,11 +8,6 @@ observability code silently breaks span tiling and latency accounting.
 This rule generalises the hand-rolled clock-audit regression test that
 guarded ``src/repro/service`` + ``src/repro/obs`` through PR 8 to the
 whole scanned tree.
-
-Benchmark harnesses are the sanctioned exception (they measure wall-clock
-cost of whole runs and never feed stamps back into the stack), hence the
-``benchmarks/`` whitelist — but the tier-1 lint scan covers ``src`` and
-``tests``, where no exception exists.
 """
 
 from __future__ import annotations
@@ -47,7 +42,6 @@ class ClockRule(Rule):
         "shares one monotonic clock; time.time() jumps on NTP steps and "
         "perf_counter() starts a second timeline"
     )
-    exclude = ("benchmarks/",)
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
         # References, not just calls: ``timer = time.perf_counter`` smuggles

@@ -1,4 +1,4 @@
-"""Baseline decision procedures kept for cross-checking and benchmarks.
+"""Baseline decision procedures kept for cross-checking.
 
 Two independent baselines are preserved:
 
@@ -6,7 +6,9 @@ Two independent baselines are preserved:
   2.4.9/2.4.10 bounded enumeration (exponential, exact);
 * :mod:`repro.baselines.seed_engine` — the library's own pre-optimisation
   implementations of the homomorphism, reduction and construction hot
-  paths, against which ``benchmarks/run_benchmarks.py`` measures speedups.
+  paths.
+
+The tier-1 tests compare the optimised engine's answers against both.
 """
 
 from repro.baselines.naive_capacity import (

@@ -2,13 +2,11 @@
 
 The indexed + memoized engine (see :mod:`repro.perf` and PERFORMANCE.md)
 replaced the original implementations of the three hot paths.  This module
-keeps those originals byte-for-byte in behaviour so that
-
-* the property-based test-suite can cross-check the optimised engine against
-  an independent implementation on randomly generated inputs, and
-* ``benchmarks/run_benchmarks.py`` can measure the optimised engine's
-  speedup over the seed on identical scenarios and record it in its
-  report.
+keeps those originals byte-for-byte in behaviour so that the tier-1 tests
+can compare the optimised engine against an independent implementation:
+on randomly generated inputs, and on the fixed membership, equivalence,
+redundancy and catalog scenarios of ``tests/test_perf_engine.py``, cold
+and warm.
 
 Nothing here consults the memo tables: every function recomputes from
 scratch exactly as the seed did — per-call candidate rescans in the

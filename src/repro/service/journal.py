@@ -191,33 +191,27 @@ class SimulatedCrash(Exception):
 class FaultyFile:
     """A binary file wrapper that injects write faults by record ordinal.
 
-    The journal performs exactly one ``write()`` per record, so the fault
-    schedule addresses records directly: fault ``write_index=k`` fires on
-    the (k+1)-th record append.  Fault objects are duck-typed (anything with
-    the attributes below works — :class:`repro.workloads.IoFault` is the
-    plain-data producer):
+    The fault schedule is a list of :class:`repro.workloads.IoFault`.  The
+    journal performs exactly one ``write()`` per record, so the schedule
+    addresses records directly: fault ``write_index=k`` fires on the
+    (k+1)-th record append.  By ``kind``:
 
-    * ``kind`` — ``"torn"`` writes ``partial_fraction`` of the record's
-      bytes and raises :class:`SimulatedCrash` (the file now ends in a
-      record prefix, byte-identical to a mid-append process kill);
-      ``"eio"`` / ``"enospc"`` raise the matching :class:`OSError` before
-      any byte is written.
-    * ``write_index`` — which record append the fault fires on.
-    * ``partial_fraction`` — for ``torn``: fraction of the record's bytes
-      that reach the file (clamped to ``[1, len-1]`` bytes).
-    * ``persistent`` — for ``eio``/``enospc``: when true, every later write
-      fails the same way (a dead device / full disk that never clears).
+    * ``"torn"`` writes ``partial_fraction`` of the record's bytes (clamped
+      to ``[1, len-1]`` bytes) and raises :class:`SimulatedCrash`: the file
+      now ends in a record prefix, byte-identical to a mid-append process
+      kill;
+    * ``"eio"`` / ``"enospc"`` raise the matching :class:`OSError` before
+      any byte is written.  When ``persistent``, every later write fails
+      the same way (a dead device / full disk that never clears).
     """
 
     _ERRNOS = {"eio": errno.EIO, "enospc": errno.ENOSPC}
 
     def __init__(self, handle, faults: Sequence = ()) -> None:
         self._handle = handle
-        self._faults: Dict[int, object] = {}
-        for fault in faults:
-            self._faults[int(fault.write_index)] = fault
+        self._faults = {fault.write_index: fault for fault in faults}
         self._writes = 0
-        self._sticky: Optional[object] = None
+        self._sticky = None
         #: ``(write_index, kind)`` for every fault that actually fired.
         self.triggered: List[Tuple[int, str]] = []
 
@@ -225,25 +219,21 @@ class FaultyFile:
         index = self._writes
         self._writes += 1
         fault = self._faults.get(index, self._sticky)
-        if fault is not None:
-            kind = fault.kind
-            if kind == "torn":
-                fraction = float(getattr(fault, "partial_fraction", 0.5))
-                cut = max(1, min(len(data) - 1, int(len(data) * fraction)))
-                self._handle.write(data[:cut])
-                self.triggered.append((index, kind))
-                raise SimulatedCrash(
-                    f"injected torn write: {cut}/{len(data)} bytes of record "
-                    f"append #{index} reached the file"
-                )
-            if kind in self._ERRNOS:
-                self.triggered.append((index, kind))
-                if getattr(fault, "persistent", False):
-                    self._sticky = fault
-                code = self._ERRNOS[kind]
-                raise OSError(code, os.strerror(code))
-            raise JournalError(f"unknown injected fault kind {kind!r}")
-        return self._handle.write(data)
+        if fault is None:
+            return self._handle.write(data)
+        if fault.kind == "torn":
+            cut = max(1, min(len(data) - 1, int(len(data) * fault.partial_fraction)))
+            self._handle.write(data[:cut])
+            self.triggered.append((index, fault.kind))
+            raise SimulatedCrash(
+                f"injected torn write: {cut}/{len(data)} bytes of record "
+                f"append #{index} reached the file"
+            )
+        self.triggered.append((index, fault.kind))
+        if fault.persistent:
+            self._sticky = fault
+        code = self._ERRNOS[fault.kind]
+        raise OSError(code, os.strerror(code))
 
     # Everything else passes straight through to the real handle.
     def fileno(self) -> int:

@@ -461,19 +461,29 @@ class TestCrossChecks:
 
 class TestParallelDeterminism:
     def test_process_pool_bit_identical_to_serial(self, small_catalog):
-        serial = CatalogAnalyzer(small_catalog, jobs=1)
-        processed = CatalogAnalyzer(small_catalog, jobs=JOBS)
-        assert processed.analyze().to_dict() == serial.analyze().to_dict()
+        # The second catalog's 16 views are all distinct, so the pool
+        # decides every one of its 240 pairs.
+        schema = random_schema(SchemaSpec(relations=5, arity=3, universe_size=7), seed=11)
+        distinct = view_catalog(
+            schema, classes=16, copies_per_class=1, members=2, atoms_per_query=3, seed=5
+        )
         # jobs > 1 ran the process pool, whose workers return verdicts only;
         # the witness is computed when asked, so both backends give one.
         def shown(witness):
             rewritings = {name: c.rewriting for name, c in witness.constructions.items()}
             return witness.holds, witness.missing, rewritings
 
-        for first, second in (("Weak", "Split"), ("Joined", "Weak")):
-            witness = processed.dominance_witness(first, second)
-            assert shown(witness) == shown(serial.dominance_witness(first, second))
-            assert witness.holds == processed.dominates(first, second)
+        for catalog, pairs in (
+            (small_catalog, (("Weak", "Split"), ("Joined", "Weak"))),
+            (distinct, (("C0x0", "C1x0"), ("C1x0", "C0x0"))),
+        ):
+            serial = CatalogAnalyzer(catalog, jobs=1)
+            processed = CatalogAnalyzer(catalog, jobs=JOBS)
+            assert processed.analyze().to_dict() == serial.analyze().to_dict()
+            for first, second in pairs:
+                witness = processed.dominance_witness(first, second)
+                assert shown(witness) == shown(serial.dominance_witness(first, second))
+                assert witness.holds == processed.dominates(first, second)
 
     @pytest.mark.parametrize("pair_count", [1, 3, 100])
     def test_process_pool_chunked_identical(self, pair_count):

@@ -476,6 +476,10 @@ class TestSamplerRetention:
             ledger["kept_interesting"] + ledger["kept_head"] + ledger["dropped"]
         )
         assert ledger["dropped"] > 0, "nothing was sampled out — test is vacuous"
+        # A dropped trace records no span: only kept traces have stage spans
+        # (a coalesced follower's link span is recorded outside the sampler).
+        staged = {s.trace_id for s in lane["trace"]["spans"] if s.stage != "coalesced"}
+        assert len(staged) == ledger["kept"]
         verdict = lane["trace"]["verdict"]
         assert verdict["sampled_out"] > 0
         assert not verdict["mismatches"] and not verdict["structural_problems"]

@@ -13,21 +13,28 @@ randomly generated small templates against three independent references:
 
 Every agreement test runs with the memo tables both enabled and disabled
 (the ``cache_mode`` fixture), so the cached and uncached paths are each
-held to the oracles.
+held to the oracles.  ``TestSeedEngineScenarios`` holds the paper's three
+decision procedures to the seed engine on fixed scenarios, cold and warm.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import pytest
 
 from repro.baselines import naive_closure_contains
 from repro.baselines.seed_engine import (
     seed_closure_contains,
+    seed_dominates,
     seed_has_homomorphism,
     seed_iter_foldings,
     seed_iter_homomorphisms,
     seed_reduce_template,
+    seed_remove_redundancy_queries,
+    seed_views_equivalent,
 )
+from repro.engine import CatalogAnalyzer
 from repro.perf import (
     LRUCache,
     cache_stats,
@@ -36,6 +43,8 @@ from repro.perf import (
     configure,
     template_signature,
 )
+from repro.relalg import parse_expression
+from repro.relational import DatabaseSchema, RelationName
 from repro.relational.attributes import Constant
 from repro.templates.canonical import has_homomorphism_via_canonical
 from repro.templates.from_expression import template_from_expression
@@ -47,8 +56,26 @@ from repro.templates.homomorphism import (
 )
 from repro.templates.reduction import is_reduced, reduce_template
 from repro.templates.homomorphism import templates_equivalent
-from repro.views import closure_contains, dominates, named_generators
-from repro.workloads import SchemaSpec, random_expression, random_schema, random_view
+from repro.views import (
+    View,
+    closure_contains,
+    dominates,
+    named_generators,
+    nonredundant_query_set,
+    remove_redundancy,
+    views_equivalent,
+)
+from repro.workloads import (
+    SchemaSpec,
+    cold_membership_instance,
+    equivalent_view_pair,
+    perturbed_view,
+    random_expression,
+    random_schema,
+    random_view,
+    redundant_view,
+    view_catalog,
+)
 
 
 @pytest.fixture(params=["cached", "uncached"])
@@ -156,8 +183,6 @@ class TestMembershipAgreement:
     def test_agrees_with_naive_enumeration(
         self, cache_mode, q_schema, goal_text, generator_texts
     ):
-        from repro.relalg import parse_expression
-
         goal = parse_expression(goal_text, q_schema)
         generators = [parse_expression(text, q_schema) for text in generator_texts]
         assert closure_contains(generators, goal) == naive_closure_contains(
@@ -189,8 +214,6 @@ class TestMembershipAgreement:
 
     @pytest.mark.parametrize("seed", [31, 32])
     def test_dominance_agrees_with_seed_engine(self, cache_mode, seed):
-        from repro.baselines.seed_engine import seed_dominates
-
         schema = random_schema(SchemaSpec(relations=3, arity=2, universe_size=4), seed=seed)
         first = random_view(schema, members=2, atoms_per_query=2, seed=seed)
         second = random_view(schema, members=2, atoms_per_query=2, seed=seed + 100)
@@ -201,10 +224,175 @@ class TestMembershipAgreement:
             )
 
 
+# Each scenario builder returns ``(seed call, optimised call)``: two
+# zero-argument callables whose answers must be equal.
+def _membership(generators, goal):
+    return (
+        lambda: seed_closure_contains(generators, goal),
+        lambda: closure_contains(generators, goal),
+    )
+
+
+def _equivalence(first, second):
+    return (
+        lambda: seed_views_equivalent(first, second),
+        lambda: views_equivalent(first, second),
+    )
+
+
+def _q_schema():
+    return DatabaseSchema([RelationName("q", "ABC")])
+
+
+def _paper_membership(goal_text):
+    # The generators of Example 3.1.5's split view.
+    q_schema = _q_schema()
+    generators = named_generators(
+        [parse_expression("pi{A,B}(q)", q_schema), parse_expression("pi{B,C}(q)", q_schema)]
+    )
+    return _membership(generators, parse_expression(goal_text, q_schema))
+
+
+def _example_3_1_5():
+    q_schema = _q_schema()
+    split = View(
+        [
+            (parse_expression("pi{A,B}(q)", q_schema), RelationName("W1", "AB")),
+            (parse_expression("pi{B,C}(q)", q_schema), RelationName("W2", "BC")),
+        ],
+        q_schema,
+    )
+    joined = View(
+        [(parse_expression("pi{A,B}(q) & pi{B,C}(q)", q_schema), RelationName("lam", "ABC"))],
+        q_schema,
+    )
+    return _equivalence(split, joined)
+
+
+def _equivalence_schema():
+    return random_schema(SchemaSpec(relations=3, arity=2, universe_size=4), seed=17)
+
+
+def _equivalent_pair(members):
+    return _equivalence(
+        *equivalent_view_pair(
+            _equivalence_schema(), members=members, atoms_per_query=2, seed=members
+        )
+    )
+
+
+def _perturbed_pair(members):
+    base = random_view(
+        _equivalence_schema(), members=members, atoms_per_query=2, seed=members + 40
+    )
+    return _equivalence(base, perturbed_view(base, seed=members + 41))
+
+
+def _redundancy_base():
+    schema = random_schema(SchemaSpec(relations=3, arity=2, universe_size=4), seed=5)
+    return random_view(schema, members=2, atoms_per_query=2, seed=31)
+
+
+def _redundancy(extra):
+    # Compared by the number of queries kept.
+    base = _redundancy_base()
+    padded = redundant_view(base, extra_members=extra, seed=32) if extra else base
+    queries = padded.defining_queries
+    return (
+        lambda: len(seed_remove_redundancy_queries(list(queries))),
+        lambda: len(nonredundant_query_set(list(queries))),
+    )
+
+
+def _redundancy_view_api():
+    padded = redundant_view(_redundancy_base(), extra_members=2, seed=32)
+    return (
+        lambda: len(seed_remove_redundancy_queries(list(padded.defining_queries))),
+        lambda: len(remove_redundancy(padded)),
+    )
+
+
+def _deep_membership(seed, generator_count, generator_atoms, goal_atoms, hopeless):
+    # Goals of 10-14 join atoms over 8 relations.  Every generator of a
+    # hopeless instance projects away a goal target attribute.
+    schema = random_schema(SchemaSpec(relations=8, arity=3, universe_size=10), seed=7)
+    return _membership(
+        *cold_membership_instance(
+            schema,
+            generator_count=generator_count,
+            generator_atoms=generator_atoms,
+            goal_atoms=goal_atoms,
+            seed=seed,
+            hopeless=hopeless,
+        )
+    )
+
+
+def _catalog_matrix(classes, copies, seed):
+    # The seed engine decides all N(N-1) pairs of an N = 16 catalog.
+    schema = random_schema(SchemaSpec(relations=4, arity=2, universe_size=5), seed=11)
+    catalog = view_catalog(
+        schema, classes=classes, copies_per_class=copies, members=2,
+        atoms_per_query=2, seed=seed,
+    )
+    names = sorted(catalog)
+    return (
+        lambda: {
+            (a, b): seed_dominates(catalog[a], catalog[b])
+            for a in names
+            for b in names
+            if a != b
+        },
+        lambda: CatalogAnalyzer(catalog).dominance_matrix(),
+    )
+
+
+#: name -> builder.  A scenario is built inside its test, so collecting the
+#: module builds none of them.
+SEED_SCENARIOS = {
+    # Capacity membership, Theorem 2.4.11 (E4).
+    "k1_projection": partial(_paper_membership, "pi{A}(q)"),
+    "k2_join": partial(_paper_membership, "pi{A,B}(q) & pi{B,C}(q)"),
+    "k1_negative": partial(_paper_membership, "pi{A,C}(q)"),
+    "k2_negative": partial(_paper_membership, "q"),
+    "k3_negative": partial(_paper_membership, "pi{A,B}(q) & pi{B,C}(q) & pi{A,C}(q)"),
+    "k3_positive": partial(_paper_membership, "pi{A,B}(q) & pi{B,C}(q) & pi{A,B}(q)"),
+    # View equivalence, Theorem 2.4.12 (E5).
+    "equivalent_m1": partial(_equivalent_pair, 1),
+    "equivalent_m2": partial(_equivalent_pair, 2),
+    "non_equivalent_m1": partial(_perturbed_pair, 1),
+    "non_equivalent_m2": partial(_perturbed_pair, 2),
+    "example_3_1_5": _example_3_1_5,
+    # Redundancy removal, Theorem 3.1.4 (E6).
+    "remove_redundancy_extra0": partial(_redundancy, 0),
+    "remove_redundancy_extra1": partial(_redundancy, 1),
+    "remove_redundancy_extra2": partial(_redundancy, 2),
+    "remove_redundancy_view_api": _redundancy_view_api,
+    # Deep-join memberships: seed, generators, atoms each, goal atoms.
+    "hopeless_deep12": partial(_deep_membership, 1, 5, 4, 12, hopeless=True),
+    "hopeless_deep12b": partial(_deep_membership, 2, 5, 4, 12, hopeless=True),
+    "hopeless_deep14": partial(_deep_membership, 1, 6, 4, 14, hopeless=True),
+    "hopeless_deep14b": partial(_deep_membership, 2, 6, 4, 14, hopeless=True),
+    "derivable_deep12": partial(_deep_membership, 1, 5, 4, 12, hopeless=False),
+    "derivable_deep10": partial(_deep_membership, 1, 4, 3, 10, hopeless=False),
+    # Dominance matrices: 4 classes of 4 copies, and 2 classes of 8.
+    "catalog16_4classes": partial(_catalog_matrix, 4, 4, 3),
+    "catalog16_2classes": partial(_catalog_matrix, 2, 8, 5),
+}
+
+
+class TestSeedEngineScenarios:
+    @pytest.mark.parametrize("name", list(SEED_SCENARIOS))
+    def test_seed_cold_and_warm_answers_agree(self, cache_mode, name):
+        seed_call, optimised = SEED_SCENARIOS[name]()
+        expected = seed_call()
+        clear_caches()
+        assert optimised() == expected  # cold
+        assert optimised() == expected  # warm: the memo tables are primed
+
+
 class TestCanonicalSignatures:
     def test_signature_invariant_under_symbol_renaming(self, rs_schema):
-        from repro.relalg import parse_expression
-
         template = template_from_expression(
             parse_expression("pi{A,C}(R & S & pi{B}(R))", rs_schema)
         )
@@ -231,15 +419,11 @@ class TestCanonicalSignatures:
                     assert not templates_isomorphic(first, second)
 
     def test_independently_generated_equal_expressions_share_a_signature(self, rs_schema):
-        from repro.relalg import parse_expression
-
         first = template_from_expression(parse_expression("R & S", rs_schema))
         second = template_from_expression(parse_expression("R & S", rs_schema))
         assert template_signature(first) == template_signature(second)
 
     def test_signature_distinguishes_structure(self, rs_schema):
-        from repro.relalg import parse_expression
-
         first = template_from_expression(parse_expression("R & S", rs_schema))
         second = template_from_expression(parse_expression("pi{A,C}(R & S)", rs_schema))
         assert template_signature(first) != template_signature(second)
@@ -249,7 +433,6 @@ class TestCoverGuidedEnumeration:
     def test_only_covering_subsets_are_enumerated(self, q_schema):
         import itertools
 
-        from repro.relalg import parse_expression
         from repro.views.closure import _covering_subsets, as_template
 
         goal = as_template(parse_expression("q", q_schema))
@@ -267,7 +450,6 @@ class TestCoverGuidedEnumeration:
         assert enumerated == expected
 
     def test_uncoverable_goal_enumerates_nothing(self, q_schema):
-        from repro.relalg import parse_expression
         from repro.views.closure import _covering_subsets, as_template
 
         goal = as_template(parse_expression("q", q_schema))
@@ -304,8 +486,6 @@ class TestMemoTables:
         assert not cache.lookup("b")[0]
 
     def test_repeated_queries_hit_the_memo_tables(self, cache_state_guard, q_schema):
-        from repro.relalg import parse_expression
-
         configure(enabled=True)
         clear_caches()
         generators = named_generators(
@@ -330,8 +510,6 @@ class TestMemoTables:
         assert caches_enabled()
 
     def test_clear_caches_resets_counters(self, cache_state_guard, q_schema):
-        from repro.relalg import parse_expression
-
         configure(enabled=True)
         generators = named_generators([parse_expression("pi{A,B}(q)", q_schema)])
         closure_contains(generators, parse_expression("pi{A}(q)", q_schema))
